@@ -57,6 +57,7 @@ from .poset import (
     DescE,
     ExtensionReport,
     Mode,
+    PaperCapExceeded,
     TrivialG,
     WitnessFailed,
     initial_condition,
@@ -278,7 +279,10 @@ class ChainState:
 
     def _apply_witness(self, d, budget: Budget, origin: str) -> dict:
         last = self.chain[-1]
-        res = witness(last, d, self.mode, budget)
+        try:
+            res = witness(last, d, self.mode, budget)
+        except PaperCapExceeded as exc:
+            raise PaperCapExceeded(f"step {len(self.step_log)} ({d.key()}): {exc}") from exc
         entry = {
             "descriptor": d.key(),
             "origin": origin,
@@ -290,9 +294,14 @@ class ChainState:
                 k: v for k, v in res.detail.items() if isinstance(v, (int, str, bool))
             },
         }
+        # the witness has already checked its own step at this budget; a
+        # paper-mode spot check does not count, it used a smaller budget
+        checked = {(r.pair, r.budget_key): r for r in res.reports if not r.spot}
         prev = last
         for cond in res.conditions:
-            rpt = is_extension(cond, prev, budget)
+            rpt = checked.get(((cond, prev), budget.key()))
+            if rpt is None:
+                rpt = is_extension(cond, prev, budget)
             entry["reports"].append(rpt.describe())
             self.chain.append(cond)
             entry["new_conditions"].append(len(self.chain) - 1)

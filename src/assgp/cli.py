@@ -34,7 +34,7 @@ from . import chain as ch
 from . import nbhd
 from . import poset as ps
 from .nbhd import Budget
-from .words import E, IdSet, letters, multiply, parse_word, supported_in
+from .words import E, IdSet, WordError, letters, multiply, parse_word, supported_in
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,9 +69,8 @@ def _load_state(path: str) -> ch.ChainState:
 
 
 def cmd_build(args) -> int:
-    mode = ps.parse_mode(args.mode)
     budget = _budget(args)
-    state = ch.new_chain(args.preset, mode, budget, args.seed)
+    state = ch.new_chain(args.preset, args.mode, budget, args.seed)
     state.run(args.steps)
     failures = [e for e in state.step_log if e["status"] != "ok"]
     bad_reports = [
@@ -393,6 +392,22 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _mode_arg(text: str) -> ps.Mode:
+    try:
+        return ps.parse_mode(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _word_arg(text: str) -> str:
+    """Check that text parses as a word; keep the text, which output echoes."""
+    try:
+        parse_word(text)
+    except WordError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-leaf", type=int, default=6)
     p.add_argument("--budget-exp", type=int, default=2)
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="run a chain and write its state")
     b.add_argument("--preset", choices=ch.PRESETS, default="full")
     b.add_argument("--steps", type=int, default=20)
-    b.add_argument("--mode", default="test:2")
+    b.add_argument("--mode", type=_mode_arg, default="test:2")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="chain.json")
     b.add_argument("--report", default=None)
@@ -432,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("what", choices=["member", "separate", "conj", "assgp"])
     q.add_argument("--state", required=True)
     q.add_argument("--n", type=int, default=1)
-    q.add_argument("--word", default="e")
-    q.add_argument("--g", default="a")
-    q.add_argument("--h", default="e")
+    q.add_argument("--word", type=_word_arg, default="e")
+    q.add_argument("--g", type=_word_arg, default="a")
+    q.add_argument("--h", type=_word_arg, default="e")
     q.add_argument("--out", default="-")
     _add_budget_args(q)
     q.set_defaults(func=cmd_query)

@@ -22,7 +22,10 @@ condition that lands in the set:
 Fresh-letter counts: with k fresh letters and depth n, a chain of n
 conjugations can strip at most n letters off f, so any k > n keeps foreign
 words foreign at desk scale; the astronomically safe choice k = 2^(|X|·4^n)
-is available as ``paper`` mode and :func:`threshold`.
+is available as ``paper`` mode and :func:`threshold`.  Whether a test-mode k
+reaches that count is decided on exponents (:func:`threshold_log2`), so the
+number itself is never built.  Paper mode does build it, and refuses with
+:class:`PaperCapExceeded` once the exponent passes :data:`PAPER_LOG2_CAP`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ class PosetError(Exception):
 
 class WitnessFailed(PosetError):
     """A fallible witness strategy could not produce a verified condition."""
+
+
+class PaperCapExceeded(PosetError):
+    """Paper mode would need more than 2^PAPER_LOG2_CAP fresh letters."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +172,7 @@ class ExtensionReport:
     checked: int = 0
     budget_key: tuple = ()
     spot: bool = False
+    pair: tuple = field(default=(), repr=False, compare=False)  # (q, p) checked
 
     @property
     def passed(self) -> bool:
@@ -198,6 +206,7 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
         depth_ok=p.depth <= q.depth,
         containment_mode="stacked" if p.system in q.system.ancestors() else "sampled",
         budget_key=budget.key(),
+        pair=(q, p),
     )
     if not (rpt.alphabet_ok and rpt.depth_ok):
         return rpt
@@ -260,12 +269,39 @@ def separate(p: Condition, g: Word) -> Condition:
     return pad_levels(q, p.depth + 1)
 
 
+def threshold_log2(size_x: int, n: int) -> int:
+    """The exponent |X|·4^n of :func:`threshold`, without building 2^that."""
+    return size_x * 4**n
+
+
 def threshold(size_x: int, n: int) -> int:
     """The fresh-letter count 2^(|X|·4^n) that makes foreign words heavier
-    than anything a depth-n system can express over X."""
+    than anything a depth-n system can express over X.
+
+    The value has |X|·4^n + 1 bits.  Comparisons against it go through
+    :func:`threshold_log2`; only paper mode, which uses it as k, builds it,
+    and then only up to :data:`PAPER_LOG2_CAP`."""
     if size_x < 1 or n < 1:
         raise ValueError("need size_x >= 1 and n >= 1")
-    return 2 ** (size_x * 4**n)
+    return 2 ** threshold_log2(size_x, n)
+
+
+# Paper mode takes k = 2^m fresh letters, and k, together with letter ids
+# just above k, is written in decimal into words, descriptor keys and state
+# files.  Python refuses int->str conversions beyond 4300 digits (about
+# 2^14284), so paper mode refuses any k above 2^4096 before building it.
+PAPER_LOG2_CAP = 4096
+
+
+def paper_k(p: Condition) -> int:
+    """Paper mode's fresh-letter count for p, or PaperCapExceeded."""
+    m = threshold_log2(p.alphabet.size, p.depth)
+    if m > PAPER_LOG2_CAP:
+        raise PaperCapExceeded(
+            f"paper mode needs 2^{m} fresh letters at |X|={p.alphabet.size}, "
+            f"depth {p.depth}; the cap is 2^{PAPER_LOG2_CAP}"
+        )
+    return threshold(p.alphabet.size, p.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +327,14 @@ class Mode:
 def parse_mode(text: str) -> Mode:
     if text == "paper":
         return Mode("paper")
-    if text.startswith("test:"):
-        return Mode("test", int(text.split(":", 1)[1]))
-    raise ValueError(f"mode must be 'paper' or 'test:<k>', got {text!r}")
+    usage = f"mode must be 'paper' or 'test:<k>', got {text!r}"
+    if not text.startswith("test:"):
+        raise ValueError(usage)
+    try:
+        k = int(text.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(usage) from None
+    return Mode("test", k)
 
 
 def safe_k(mode: Mode, p: Condition) -> int:
@@ -303,7 +344,7 @@ def safe_k(mode: Mode, p: Condition) -> int:
     depth-many conjugations can strip depth letters off f.
     """
     if mode.kind == "paper":
-        return threshold(p.alphabet.size, p.depth)
+        return paper_k(p)
     return max(mode.k, p.depth + 1)
 
 
@@ -314,7 +355,9 @@ class ConjExtension:
     cert: MembershipAnswer
     report: ExtensionReport
     used_k: int
-    guaranteed: bool  # k >= threshold, extension backed by the general lemma
+    # k >= threshold, extension backed by the general lemma; decided on
+    # exponents, as k.bit_length() - 1 >= threshold_log2
+    guaranteed: bool
 
 
 def conj_extension(
@@ -335,14 +378,14 @@ def conj_extension(
         raise TrivialG("conjugation witness needs g != e")
     if not supported_in(g, p.alphabet) or not supported_in(h, p.alphabet):
         raise PosetError("g and h must be words over the condition's alphabet")
-    k = threshold(p.alphabet.size, p.depth) if mode.kind == "paper" else mode.k
+    k = paper_k(p) if mode.kind == "paper" else mode.k
     setting = make_setting(p.alphabet, g, h, k)
     system = enrich(p.system, make_base(cyclic=[setting.g0]), setting.y_alphabet)
     q = Condition(setting.y_alphabet, p.depth, system)
     cert = system.member(q.depth, setting.g0, Budget(nodes=4))
     if not cert.is_yes:
         raise PosetError("g0 failed to certify in its own enrichment")
-    guaranteed = k >= threshold(p.alphabet.size, p.depth)
+    guaranteed = k.bit_length() - 1 >= threshold_log2(p.alphabet.size, p.depth)
     if mode.kind == "paper":
         report = is_extension(q, p, Budget(leaf_len=4, exp=1, nodes=40))
         report.spot = True
@@ -538,8 +581,8 @@ def witness(
             "f": str(ext.setting.f) if ext.used_k <= 64 else f"run of {ext.used_k}",
             "used_k": ext.used_k,
             "guaranteed": ext.guaranteed,
-            "threshold_log2_param_n": cur.alphabet.size * 4**d.n,
-            "threshold_log2_depth": cur.alphabet.size * 4**cur.depth,
+            "threshold_log2_param_n": threshold_log2(cur.alphabet.size, d.n),
+            "threshold_log2_depth": threshold_log2(cur.alphabet.size, cur.depth),
         }
         return WitnessResult(
             d, conds, ok, {"conj": ext, "g0": ext.setting.g0}, [ext.report], detail

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
 
 from assgp import chain as ch
+from assgp import poset as ps
 from assgp.chain import (
     ChainState,
     FormatError,
@@ -101,6 +103,67 @@ class TestChainBuild:
     def test_predicates_all_hold(self):
         st = small_chain("full", 15)
         assert all(e["predicate_ok"] for e in st.step_log if e["status"] == "ok")
+
+    def test_deep_build_never_builds_the_threshold(self, monkeypatch):
+        # the E steps decide `guaranteed` on exponents; 2^(|X|·4^n) at
+        # depth 13 and beyond has more bits than memory holds
+        def refuse(size_x, n):
+            raise AssertionError("threshold built in test mode")
+
+        monkeypatch.setattr(ps, "threshold", refuse)
+        st = small_chain("full", 80)
+        assert st.chain[-1].depth > 13
+        assert all(e["status"] == "ok" for e in st.step_log)
+        assert all(r["passed"] for e in st.step_log for r in e["reports"])
+
+    def test_each_pair_checked_once(self, monkeypatch):
+        seen = []
+
+        def counting(q, p, budget=ps.DEFAULT_BUDGET):
+            seen.append((id(q), id(p), budget.key()))
+            return is_extension(q, p, budget)
+
+        monkeypatch.setattr(ps, "is_extension", counting)
+        monkeypatch.setattr(ch, "is_extension", counting)
+        st = small_chain("full", 20)
+        assert len(seen) == len(set(seen)) == len(st.chain) - 1
+        # the reused witness report is still logged twice, as before
+        last = st.step_log[-1]
+        assert last["descriptor"].startswith("E:")
+        assert last["reports"][-2] == last["reports"][-1]
+
+    def test_paper_spot_check_not_reused(self):
+        st = new_chain("full", Mode("paper"), BUD, 0)
+        st.run(5)
+        e_step = st.step_log[4]
+        assert e_step["descriptor"].startswith("E:")
+        full, spot = e_step["reports"][-2:]
+        assert not full["spot"] and full["budget"] == list(BUD.key())
+        assert spot["spot"] and spot["budget"] != full["budget"]
+
+    def test_paper_cap_names_the_step(self):
+        st = new_chain("full", Mode("paper"), BUD, 0)
+        st.run(8)
+        with pytest.raises(ps.PaperCapExceeded, match=r"step 8 \(AD:0\|a\).*2\^4194368"):
+            st.step()
+
+
+# sha256 of serialize() for the full preset, 45 steps, test:2, budget
+# (6, 2, 120), chain seeds 0-4, as first measured before the build step
+# compared threshold exponents and reused witness reports
+GOLDEN_FULL_45 = {
+    0: "b779af31360fac52acdbfa220ca503aab8c07c93659bc0ef3177318f3d13ac9b",
+    1: "4b91963faa321d7ead8b0a1118e47cedbdba317681a4f558e1b5b28c8b9ccf1a",
+    2: "68ca7915a1c2d5cd10616f121a637b6c2fd4756731e85249584c0994bf86e211",
+    3: "786d914a13d0ba2ed001f0c361165ae0c637d44d858a81b5e12c7d14d826c6a8",
+    4: "fdaa7fe57faa097660d351fb0c4eea7241aaf064fa6b03a88579f5dbd70a6016",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_FULL_45))
+def test_full_45_state_bytes_golden(seed):
+    st = small_chain("full", 45, seed)
+    assert hashlib.sha256(serialize(st)).hexdigest() == GOLDEN_FULL_45[seed]
 
 
 class TestBasisMember:

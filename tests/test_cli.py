@@ -1,0 +1,130 @@
+import json
+
+import pytest
+
+from assgp.cli import EXIT_FAIL, EXIT_NOT_YET, EXIT_OK, EXIT_USAGE, main
+
+
+def run(argv) -> int:
+    """main(argv)'s exit status; argparse usage errors exit via SystemExit."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def state(tmp_path):
+    path = tmp_path / "chain.json"
+    assert run(["build", "--steps", 10, "--out", path]) == EXIT_OK
+    return path
+
+
+def query(state, *argv):
+    return run(["query", *argv, "--state", state, "--out", "-"])
+
+
+class TestBuild:
+    def test_repeat_is_byte_identical(self, tmp_path):
+        outs = []
+        for i in range(2):
+            out, rep = tmp_path / f"s{i}.json", tmp_path / f"r{i}.json"
+            argv = ["build", "--steps", 12, "--seed", 3, "--out", out, "--report", rep]
+            assert run(argv) == EXIT_OK
+            outs.append((out.read_bytes(), rep.read_bytes()))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", ["bogus", "test:1", "test:x"])
+    def test_bad_mode_is_usage_error(self, mode, tmp_path, capsys):
+        assert run(["build", "--mode", mode, "--out", tmp_path / "s.json"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--mode" in err and "Traceback" not in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_paper_mode_refuses_past_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        argv = ["build", "--mode", "paper", "--steps", 12, "--out", out]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "step 8" in err and "cap is 2^4096" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_paper_mode_below_the_cap_builds(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["build", "--mode", "paper", "--steps", 8, "--out", out]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["mode"] == "paper"
+
+
+class TestVerify:
+    def test_passes(self, tmp_path):
+        rep = tmp_path / "v.json"
+        assert run(["verify", "--trials", 50, "--report", rep]) == EXIT_OK
+        report = json.loads(rep.read_text())
+        assert report["counterexamples"] == 0 and not report["vacuous"]
+
+    def test_injected_bug_fails(self, tmp_path):
+        rep = tmp_path / "v.json"
+        argv = ["verify", "--trials", 50, "--inject-bug", "eta-skip", "--report", rep]
+        assert run(argv) == EXIT_FAIL
+        assert json.loads(rep.read_text())["counterexamples"] > 0
+
+
+class TestQuery:
+    def test_member(self, state, capsys):
+        assert query(state, "member", "--word", "e") == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "yes" and out["certificate_verified"]
+
+    def test_separate(self, state, capsys):
+        assert query(state, "separate", "--g", "a") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["query"] == "separate"
+
+    def test_separate_not_yet_echoes_the_text(self, state, capsys):
+        assert query(state, "separate", "--g", "x50  x51") == EXIT_NOT_YET
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"query": "separate", "g": "x50  x51", "verdict": "not-yet"}
+
+    def test_conj(self, state, capsys):
+        assert query(state, "conj", "--g", "a", "--h", "b") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["query"] == "conj"
+
+    def test_assgp(self, state, capsys):
+        assert query(state, "assgp", "--g", "a b^-1") == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["factors"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["member", "--word", "zz"],
+            ["conj", "--g", "a", "--h", "q!"],
+            ["separate", "--g", "e^-1"],
+        ],
+    )
+    def test_bad_word_is_usage_error(self, state, argv, capsys):
+        assert query(state, *argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bad word token" in err or "inverse marker" in err
+        assert "Traceback" not in err
+
+    def test_trivial_g_is_usage_error(self, state, capsys):
+        assert query(state, "separate", "--g", "e") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_state_is_usage_error(self, tmp_path):
+        assert query(tmp_path / "none.json", "member") == EXIT_USAGE
+
+
+class TestStateCommands:
+    def test_check_axioms(self, state, capsys):
+        assert run(["check-axioms", "--state", state]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"]
+
+    def test_export(self, state, capsys):
+        assert run(["export", "--state", state]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["reverification_failures"] == []
+
+    def test_corrupt_state_is_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert run(["export", "--state", bad]) == EXIT_USAGE

@@ -21,6 +21,7 @@ from assgp.poset import (
     parse_mode,
     separate,
     threshold,
+    threshold_log2,
     verify_cyc_cert,
     witness,
 )
@@ -108,6 +109,44 @@ class TestThreshold:
     def test_arbitrary_precision(self):
         big = threshold(2, 2)
         assert big == 4294967296 and big.bit_length() == 33
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exponent_test_matches_value_test(self, size, n):
+        m = threshold_log2(size, n)
+        assert 2**m == threshold(size, n)
+        for k in (1, 2**m - 1, 2**m, 2**m + 1):
+            assert (k.bit_length() - 1 >= m) == (k >= threshold(size, n)), k
+
+    def test_guaranteed_never_builds_the_threshold(self, monkeypatch):
+        def refuse(size_x, n):
+            raise AssertionError("threshold built in test mode")
+
+        monkeypatch.setattr(ps, "threshold", refuse)
+        p = pad_levels(initial_condition(), 2)
+        assert not conj_extension(p, a, E, Mode("test", 3), BUD).guaranteed
+        # k = 16 = 2^(1·4^1) reaches the threshold at |X| = 1, depth 1
+        assert conj_extension(initial_condition(), a, E, Mode("test", 16), BUD).guaranteed
+
+
+class TestPaperCap:
+    def test_k_below_cap_is_the_threshold(self):
+        assert ps.paper_k(initial_condition()) == threshold(1, 1)
+        assert ps.safe_k(Mode("paper"), initial_condition()) == 16
+
+    def test_refuses_before_building(self, monkeypatch):
+        def refuse(size_x, n):
+            raise AssertionError("threshold built above the cap")
+
+        monkeypatch.setattr(ps, "threshold", refuse)
+        p = add_letters(pad_levels(initial_condition(), 6), IdSet.of(0, 1))
+        assert threshold_log2(2, 6) > ps.PAPER_LOG2_CAP
+        with pytest.raises(ps.PaperCapExceeded, match=r"2\^8192 .*depth 6"):
+            ps.safe_k(Mode("paper"), p)
+        with pytest.raises(ps.PaperCapExceeded):
+            conj_extension(p, a, E, Mode("paper"))
+        with pytest.raises(ps.PaperCapExceeded):
+            cyc_witness(p, a, Mode("paper"))
 
 
 class TestIsExtension:
@@ -297,3 +336,5 @@ class TestMode:
             parse_mode("test:1")
         with pytest.raises(ValueError):
             parse_mode("bogus")
+        with pytest.raises(ValueError, match="test:<k>"):
+            parse_mode("test:x")
