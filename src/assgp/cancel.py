@@ -20,7 +20,7 @@ Everything is re-verified against direct reduced multiplication.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .words import (
@@ -36,7 +36,6 @@ from .words import (
     power,
     split_at,
     supported_in,
-    word_key,
 )
 
 

@@ -28,23 +28,19 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import nbhd
 from .nbhd import (
     Budget,
     Conj,
     DEFAULT_BUDGET,
-    Leaf,
-    MembershipAnswer,
+    NbhdError,
     invert_rep,
     rep_from_obj,
     rep_to_obj,
-    rep_word,
     system_from_layers,
     system_layers,
-    transport_rep,
 )
 from .poset import (
     Condition,
@@ -53,9 +49,7 @@ from .poset import (
     DescAD,
     DescB,
     DescC,
-    DescD,
     DescE,
-    ExtensionReport,
     Mode,
     PaperCapExceeded,
     TrivialG,
@@ -66,7 +60,7 @@ from .poset import (
     verify_cyc_cert,
     witness,
 )
-from .words import E, IdSet, Word, letters, multiply, parse_word, single, supported_in
+from .words import E, IdSet, Word, WordError, letters, multiply, parse_word, single, supported_in
 
 FORMAT_NAME = "assgp-chain"
 FORMAT_VERSION = 1
@@ -226,11 +220,8 @@ class Schedule:
     def descriptor(self, stage: int):
         fam_count = len(self.families)
         fam = self.families[(stage + self.seed) % fam_count]
-        index = stage // fam_count
         # rotation only shifts which family goes first; indexes stay fair
-        extra = 1 if (stage % fam_count) < ((self.seed % fam_count)) else 0
-        del extra  # index arithmetic below is exact for round-robin
-        return self._streams[fam][index]
+        return self._streams[fam][stage // fam_count]
 
     def first_stage_of(self, key: str, limit: int = 4000) -> Optional[int]:
         for s in range(limit):
@@ -250,7 +241,6 @@ class BasisAnswer:
     rep: object = None
     stage: Optional[int] = None
     level: Optional[int] = None
-    caveat: str = ""
 
     @property
     def is_yes(self) -> bool:
@@ -315,11 +305,9 @@ class ChainState:
     def _store_certs(self, d, res) -> None:
         key = d.key()
         stage_idx = len(self.chain) - 1
-        if isinstance(d, (DescD, DescAD)) and "cyc" in res.certs:
+        if isinstance(d, DescAD) and "cyc" in res.certs:
             cert: CycCert = res.certs["cyc"]
             self.certs[key] = {"kind": "D", "stage": stage_idx, "cyc": cert.describe()}
-        elif isinstance(d, DescD) and "factorization" in res.certs:
-            self.certs[key] = {"kind": "D", "stage": stage_idx, "cyc": None}
         elif isinstance(d, DescE):
             ext = res.certs["conj"]
             self.certs[key] = {
@@ -387,9 +375,10 @@ class ChainState:
         """Is w in the chain's n-th basic neighbourhood (so far)?
 
         Yes once any condition deep enough certifies it; the verdict can only
-        improve as the chain grows."""
+        improve as the chain grows.  No only when every condition deep enough
+        refutes w, so unknown while no condition reaches level n."""
         budget = budget or self.budget
-        saw_unknown = False
+        verdicts = set()
         for idx in range(len(self.chain) - 1, -1, -1):
             cond = self.chain[idx]
             if cond.depth < n:
@@ -397,12 +386,8 @@ class ChainState:
             ans = cond.system.member(n, w, budget)
             if ans.is_yes:
                 return BasisAnswer("yes", ans.rep, idx, n)
-            if not ans.is_no:
-                saw_unknown = True
-        return BasisAnswer("unknown" if saw_unknown else "no", None, None, n)
-
-    def basis_view(self, n: int) -> "BasisView":
-        return BasisView(self, n)
+            verdicts.add(ans.verdict)
+        return BasisAnswer("no" if verdicts == {"no"} else "unknown", None, None, n)
 
     def separation_index(self, g: Word, budget: Optional[Budget] = None) -> tuple[int, int]:
         """Find a stage whose deepest level exactly excludes g.
@@ -434,8 +419,8 @@ class ChainState:
         if key not in self.certs or "f" not in self.certs[key]:
             self._apply_witness(d, budget, "targeted")
         rec = self.certs[key]
-        f = parse_word(rec["f"])
-        target = parse_word(rec["g0"])
+        f = _read(parse_word, rec["f"])
+        target = _read(parse_word, rec["g0"])
         expected = multiply(multiply(multiply(f, g), f.inverse()), h.inverse())
         if expected != target:
             raise ChainError("cached conjugacy witness fails re-verification")
@@ -456,14 +441,7 @@ class ChainState:
         d = DescAD(n, g)
         self._apply_witness(d, budget, "targeted")
         rec = self.certs[d.key()]
-        cyc = rec["cyc"]
-        cert = CycCert(
-            parse_word(cyc["target"]),
-            tuple(parse_word(t) for t in cyc["factors"]),
-            tuple(parse_word(t) for t in cyc["gens"]),
-            tuple(cyc["exponents"]),
-            cyc["level"],
-        )
+        cert = _read(CycCert.from_obj, rec["cyc"])
         cond = self.chain[rec["stage"]]
         ok, why = verify_cyc_cert(cert, cond.system, budget)
         if not ok:
@@ -557,17 +535,13 @@ class ChainState:
     def to_obj(self) -> dict:
         chain_objs = []
         for idx, cond in enumerate(self.chain):
+            # stored as the layers stacked on the latest earlier condition
             ancestors = cond.system.ancestors()
-            base_idx = None
-            cut = len(ancestors)
-            for j in range(idx - 1, -1, -1):
-                prev = self.chain[j].system
-                if prev in ancestors:
-                    base_idx = j
-                    cut = ancestors.index(prev)
-                    break
-            layers = [layer.node_obj() for layer in reversed(ancestors[:cut])]
-            chain_objs.append({"base": base_idx, "layers": layers})
+            base_idx = next(
+                (j for j in range(idx - 1, -1, -1) if self.chain[j].system in ancestors), None
+            )
+            stop = None if base_idx is None else self.chain[base_idx].system
+            chain_objs.append({"base": base_idx, "layers": system_layers(cond.system, stop)})
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -606,12 +580,12 @@ class ChainState:
             if not chain:
                 raise FormatError("empty chain")
             state.chain = chain
+            for key, _ in state.retry_queue:
+                state._retry_descs[key] = _descriptor_from_key(key)
         except FormatError:
             raise
         except Exception as exc:  # malformed content of a well-framed file
             raise FormatError(f"malformed chain state: {exc}") from exc
-        for key, attempts in state.retry_queue:
-            state._retry_descs[key] = _descriptor_from_key(key)
         return state
 
     def verify_certificates(self, budget: Optional[Budget] = None) -> list[str]:
@@ -622,26 +596,29 @@ class ChainState:
             rec = self.certs[key]
             cond = self.chain[rec["stage"]]
             if rec["kind"] == "E":
-                rep = rep_from_obj(rec["rep"])
-                g0 = parse_word(rec["g0"])
+                rep = _read(rep_from_obj, rec["rep"])
+                g0 = _read(parse_word, rec["g0"])
                 ok, why = cond.system.verify_rep(rec["level"], g0, rep)
-                if not ok:
-                    failures.append(f"{key}: {why}")
             elif rec["kind"] == "D" and rec.get("cyc"):
-                cyc = rec["cyc"]
-                cert = CycCert(
-                    parse_word(cyc["target"]),
-                    tuple(parse_word(t) for t in cyc["factors"]),
-                    tuple(parse_word(t) for t in cyc["gens"]),
-                    tuple(cyc["exponents"]),
-                    cyc["level"],
-                )
+                cert = _read(CycCert.from_obj, rec["cyc"])
                 ok, why = verify_cyc_cert(cert, cond.system, budget)
-                if not ok:
-                    failures.append(f"{key}: {why}")
-            elif rec["kind"] == "C":
-                pass  # separation re-checked on demand via separation_index
+            else:
+                continue  # C: separation is re-checked on demand via separation_index
+            if not ok:
+                failures.append(f"{key}: {why}")
         return failures
+
+
+# what the readers of stored fields raise on malformed content
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, WordError, NbhdError)
+
+
+def _read(reader, obj):
+    """``reader(obj)`` on one stored field; malformed content is a FormatError."""
+    try:
+        return reader(obj)
+    except _MALFORMED as exc:
+        raise FormatError(f"malformed stored record: {exc}") from exc
 
 
 def _descriptor_from_key(key: str):
@@ -652,8 +629,8 @@ def _descriptor_from_key(key: str):
         return DescB(IdSet.from_ids(int(t) for t in rest.split(",") if t))
     if kind == "C":
         return DescC(parse_word(rest))
-    if kind == "D":
-        return DescD(parse_word(rest))
+    if kind == "D":  # legacy key: D(g) is AD(0, g)
+        return DescAD(0, parse_word(rest))
     if kind == "AD":
         n, g = rest.split("|")
         return DescAD(int(n), parse_word(g))
@@ -662,17 +639,6 @@ def _descriptor_from_key(key: str):
         S = IdSet.from_ids(int(t) for t in ids.split(",") if t)
         return DescE(int(n), S, parse_word(g), parse_word(h))
     raise ChainError(f"bad descriptor key {key!r}")
-
-
-@dataclass
-class BasisView:
-    """Read-only view of one basic neighbourhood of the identity."""
-
-    state: ChainState
-    n: int
-
-    def member(self, w: Word, budget: Optional[Budget] = None) -> BasisAnswer:
-        return self.state.basis_member(self.n, w, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +653,6 @@ def new_chain(
     seed: int = 0,
 ) -> ChainState:
     return ChainState(preset, mode, budget, seed)
-
-
-def step(state: ChainState) -> ChainState:
-    state.step()
-    return state
 
 
 def serialize(state: ChainState) -> bytes:

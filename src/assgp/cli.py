@@ -27,14 +27,13 @@ import argparse
 import itertools
 import json
 import sys
-import time
 
 from . import cancel as cc
 from . import chain as ch
 from . import nbhd
 from . import poset as ps
 from .nbhd import Budget
-from .words import E, IdSet, WordError, letters, multiply, parse_word, supported_in
+from .words import E, IdSet, WordError, letters, multiply, parse_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,7 +134,7 @@ def _suite_word_laws(trials: int, seed: int) -> dict:
     return {"name": "word-laws", "trials": trials, "counterexamples": counterexamples}
 
 
-def _suite_collapse(trials: int, seed: int, inject_bug: str) -> dict:
+def _suite_collapse(trials: int, seed: int) -> dict:
     counterexamples = []
     params = cc.GenParams()
     for t, inst in enumerate(itertools.islice(cc.gen_instances(seed, params), trials)):
@@ -250,7 +249,7 @@ def cmd_verify(args) -> int:
     trials = args.trials
     suites = [
         _suite_word_laws(trials, args.seed),
-        _suite_collapse(trials, args.seed + 1, args.inject_bug),
+        _suite_collapse(trials, args.seed + 1),
         _suite_same_sign(max(trials // 5, 0), args.seed + 2),
         _suite_eta(max(trials // 5, 0), args.seed + 3, args.inject_bug),
         _suite_letter_bound(trials),
@@ -408,10 +407,25 @@ def _word_arg(text: str) -> str:
     return text
 
 
+def _count_arg(least: int):
+    """An argparse type: an integer count of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-leaf", type=int, default=6)
-    p.add_argument("--budget-exp", type=int, default=2)
-    p.add_argument("--budget-nodes", type=int, default=120)
+    p.add_argument("--budget-leaf", type=_count_arg(1), default=6)
+    p.add_argument("--budget-exp", type=_count_arg(1), default=2)
+    p.add_argument("--budget-nodes", type=_count_arg(1), default=120)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="run a chain and write its state")
     b.add_argument("--preset", choices=ch.PRESETS, default="full")
-    b.add_argument("--steps", type=int, default=20)
+    b.add_argument("--steps", type=_count_arg(0), default=20)
     b.add_argument("--mode", type=_mode_arg, default="test:2")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="chain.json")
@@ -432,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="run the property suites")
-    v.add_argument("--trials", type=int, default=500)
+    v.add_argument("--trials", type=_count_arg(0), default=500)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--report", default="-")
     v.add_argument(
@@ -456,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check-axioms", help="sampled group-axiom checks on a state")
     c.add_argument("--state", required=True)
-    c.add_argument("--samples", type=int, default=3)
+    c.add_argument("--samples", type=_count_arg(0), default=3)
     c.add_argument("--out", default="-")
     _add_budget_args(c)
     c.set_defaults(func=cmd_check_axioms)
@@ -472,7 +486,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ps.TrivialG, cc.CancelError, nbhd.NbhdError, ps.PosetError) as exc:
+    except (ps.TrivialG, cc.CancelError, nbhd.NbhdError, ps.PosetError, ch.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,8 @@ are infinite and bounded search cannot refute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from .words import (
     E,
@@ -140,12 +141,6 @@ def rep_word(rep) -> Word:
     return acc
 
 
-def rep_depth(rep) -> int:
-    if isinstance(rep, Leaf):
-        return 0
-    return 1 + max(rep_depth(rep.left), rep_depth(rep.right))
-
-
 def invert_rep(rep):
     """Certificate for the inverse word; valid because levels and base sets
     are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹."""
@@ -153,22 +148,6 @@ def invert_rep(rep):
         sub = invert_rep(rep.sub) if rep.sub is not None else None
         return Leaf(rep.level, rep.word.inverse(), rep.origin, sub)
     return Conj(rep.level, rep.x, invert_rep(rep.right), invert_rep(rep.left))
-
-
-def transport_rep(rep, from_sys: "Nsys", to_sys: "Nsys"):
-    """Re-express an ancestor system's certificate in a descendant system.
-
-    Enrichment layers wrap the certificate as a base-origin leaf; padding
-    layers pass it through unchanged (their lower levels delegate)."""
-    chain = to_sys.ancestors()
-    if from_sys not in chain:
-        raise NbhdError("target system is not stacked on the certificate's system")
-    word = rep_word(rep)
-    cur = rep
-    for layer in reversed(chain[: chain.index(from_sys)]):
-        if isinstance(layer, EnrichedNsys):
-            cur = Leaf(cur.level, word, "base", cur)
-    return cur
 
 
 @dataclass(frozen=True)
@@ -275,14 +254,22 @@ IDENTITY_BASE = BaseSet((E,), ())
 # ---------------------------------------------------------------------------
 
 
+def _conjugators(ids: IdSet) -> list[Word]:
+    """e, then x and x⁻¹ for each of the first CONJUGATOR_ID_CAP ids."""
+    out = [E]
+    for gid in islice(ids, CONJUGATOR_ID_CAP):
+        out.append(single(gid, 1))
+        out.append(single(gid, -1))
+    return out
+
+
 class _SearchCtx:
-    __slots__ = ("budget", "nodes_left", "memo", "exhausted")
+    __slots__ = ("budget", "nodes_left", "memo")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.nodes_left = budget.nodes
         self.memo: dict = {}
-        self.exhausted = False
 
 
 class Nsys:
@@ -530,18 +517,6 @@ class EnrichedNsys(Nsys):
             return None
         return self.bounded_base_size * 4 ** (self.depth - i)
 
-    def _conjugators(self) -> list[Word]:
-        out = [E]
-        count = 0
-        for lo, hi in self.alphabet.intervals:
-            for g in range(lo, min(hi, lo + CONJUGATOR_ID_CAP) + 1):
-                out.append(single(g, 1))
-                out.append(single(g, -1))
-                count += 1
-                if count >= CONJUGATOR_ID_CAP:
-                    return out
-        return out
-
     # -- membership ----------------------------------------------------------
 
     def _member(self, i, w, ctx):
@@ -572,7 +547,6 @@ class EnrichedNsys(Nsys):
             rep = exact[i].get(w)
             return _yes(rep) if rep is not None else _no("absent from the exact level set")
         if ctx.nodes_left <= 0:
-            ctx.exhausted = True
             return _unknown("search budget exhausted")
         ctx.nodes_left -= 1
 
@@ -596,23 +570,11 @@ class EnrichedNsys(Nsys):
         # so searching letters of w and of the enumerated children is
         # complete relative to the enumeration.
         candidate_ids = letters(w).union(self._enum_support(i + 1, ctx.budget))
-        xs = [E]
-        taken = 0
-        for lo, hi in candidate_ids.intersection(self.alphabet).intervals:
-            for gid in range(lo, hi + 1):
-                xs.append(single(gid, 1))
-                xs.append(single(gid, -1))
-                taken += 1
-                if taken >= CONJUGATOR_ID_CAP:
-                    break
-            if taken >= CONJUGATOR_ID_CAP:
-                break
-        for x in xs:
+        for x in _conjugators(candidate_ids.intersection(self.alphabet)):
             wx = multiply(multiply(x.inverse(), w), x)
             for u, urep in inner:
                 if ctx.nodes_left <= 0:
-                    ctx.exhausted = True
-                    return _unknown("search budget exhausted")
+                            return _unknown("search budget exhausted")
                 ctx.nodes_left -= 1
                 v = multiply(u.inverse(), wx)
                 vans = self._member(i + 1, v, ctx)
@@ -656,7 +618,7 @@ class EnrichedNsys(Nsys):
                     break
         # Interleave conjugators across products so the cap cannot starve any
         # single x of coverage.
-        conjs = [(x, x.inverse()) for x in self._conjugators()]
+        conjs = [(x, x.inverse()) for x in _conjugators(self.alphabet)]
         for prod, (urep, vrep) in uv.items():
             if len(items) >= budget.nodes:
                 break
@@ -682,7 +644,7 @@ class EnrichedNsys(Nsys):
         for w in self.extra.finite:
             top.setdefault(w, Leaf(self.depth, w, "extra"))
         levels[self.depth] = top
-        conjs = self._conjugators()
+        conjs = _conjugators(self.alphabet)
         for i in range(self.depth - 1, -1, -1):
             cur: dict[Word, object] = {}
             for w, r in below[i].items():
@@ -809,22 +771,8 @@ def identity_extension(U: Nsys, fresh: IdSet) -> EnrichedNsys:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation surface
+# Certificate reduction
 # ---------------------------------------------------------------------------
-
-
-def member(U: Nsys, i: int, w: Word, budget: Budget = DEFAULT_BUDGET) -> MembershipAnswer:
-    return U.member(i, w, budget)
-
-
-def enumerate_members(
-    U: Nsys, i: int, budget: Budget = DEFAULT_BUDGET
-) -> Iterator[tuple[Word, object]]:
-    yield from U.enumerate(i, budget)
-
-
-def verify_rep(U: Nsys, i: int, w: Word, rep) -> tuple[bool, str]:
-    return U.verify_rep(i, w, rep)
 
 
 def eta(w: Word, B: BaseSet, Bp: BaseSet) -> Word:
@@ -854,7 +802,7 @@ def reduce_rep(
     def in_gap(w: Word) -> bool:
         return (not w.is_identity()) and B.contains(w) and not Bp.contains(w)
 
-    for x in V._conjugators():
+    for x in _conjugators(V.alphabet):
         if not x.is_identity() and in_gap(x):
             raise HypothesisUnverified(f"ambient letter {x} lies in B \\ B'")
     for i in range(1, Vp.depth + 1):
@@ -989,7 +937,7 @@ def verify_axioms(U: Nsys, budget: Budget = DEFAULT_BUDGET, samples: int = 12) -
     else:
         ok = True
         witness = ""
-        conj = U._conjugators() if isinstance(U, EnrichedNsys) else [E]
+        conj = _conjugators(U.alphabet) if isinstance(U, EnrichedNsys) else [E]
         for i in range(U.depth):
             pool = U.enumerate(i + 1, budget)[:samples]
             for x in conj[: 2 * samples + 1]:
@@ -1017,9 +965,13 @@ def base_set_from_obj(obj: dict) -> BaseSet:
     )
 
 
-def system_layers(U: Nsys) -> list[dict]:
-    """Layer descriptions root-first; rebuild with :func:`system_from_layers`."""
-    return [layer.node_obj() for layer in reversed(U.ancestors())]
+def system_layers(U: Nsys, stop: Optional[Nsys] = None) -> list[dict]:
+    """Layer descriptions root-first, or only those stacked above the
+    ancestor ``stop``; rebuild with :func:`system_from_layers`."""
+    layers = U.ancestors()
+    if stop is not None:
+        layers = layers[: layers.index(stop)]
+    return [layer.node_obj() for layer in reversed(layers)]
 
 
 def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:

@@ -14,8 +14,8 @@ condition that lands in the set:
 * ``B(S)``  — grow the alphabet by a cyclic fresh-letter enrichment;
 * ``C(g)``  — grow the alphabet to cover g, then pad one {e} level, so g is
   exactly excluded from the deepest level;
-* ``D(g)``  — adjoin ⟨g0⟩ ∪ ⟨f⟩ for g0 = f·g·f⁻¹ and certify the
-  three-factor product g = f⁻¹·g0·f (verified, fallible);
+* ``AD(n,g)`` — pad to depth n, then adjoin ⟨g0⟩ ∪ ⟨f⟩ for g0 = f·g·f⁻¹
+  and certify the three-factor product g = f⁻¹·g0·f (verified, fallible);
 * ``E(n,S,g,h)`` — after B/A preparation, adjoin ⟨g0⟩ for g0 = f·g·f⁻¹·h,
   which places a member of Conj(g)·h in the deepest level.
 
@@ -44,9 +44,8 @@ from .nbhd import (
     make_base,
     pad_system,
     trivial_system,
-    verify_axioms,
 )
-from .words import E, IdSet, Word, cyclic_member, letters, multiply, power, supported_in
+from .words import E, IdSet, Word, cyclic_member, letters, multiply, parse_word, power, supported_in
 
 
 class PosetError(Exception):
@@ -122,14 +121,6 @@ class DescC:
 
 
 @dataclass(frozen=True)
-class DescD:
-    g: Word
-
-    def key(self) -> str:
-        return f"D:{self.g}"
-
-
-@dataclass(frozen=True)
 class DescAD:
     n: int
     g: Word
@@ -152,9 +143,6 @@ class DescE:
     def key(self) -> str:
         ids = ",".join(str(i) for i in self.S)
         return f"E:{self.n}|{ids}|{self.g}|{self.h}"
-
-
-DenseDescriptor = "DescA | DescB | DescC | DescD | DescAD | DescE"
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +402,17 @@ class CycCert:
             "level": self.level,
         }
 
+    @staticmethod
+    def from_obj(obj: dict) -> "CycCert":
+        """The inverse of :meth:`describe`."""
+        return CycCert(
+            parse_word(obj["target"]),
+            tuple(parse_word(t) for t in obj["factors"]),
+            tuple(parse_word(t) for t in obj["gens"]),
+            tuple(obj["exponents"]),
+            obj["level"],
+        )
+
 
 def verify_cyc_cert(cert: CycCert, system: Nsys, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, str]:
     """Re-check a factorization certificate against a system.
@@ -511,7 +510,7 @@ def witness(
     """Build an extension of p inside the dense set described by d.
 
     The defining predicate of the set is evaluated directly on the final
-    condition, never assumed from the construction.  D-type strategies are
+    condition, never assumed from the construction.  AD strategies are
     fallible and raise :class:`WitnessFailed` with the report attached.
     """
     if isinstance(d, DescA):
@@ -530,13 +529,11 @@ def witness(
         ok = supported_in(d.g, q.alphabet) and ans.is_no
         return WitnessResult(d, [q], ok, {"excluded_at": q.depth}, [], {})
 
-    if isinstance(d, (DescD, DescAD)):
+    if isinstance(d, DescAD):
         conds: list[Condition] = []
-        cur = p
-        if isinstance(d, DescAD):
-            cur = pad_levels(cur, d.n)
-            if cur is not p:
-                conds.append(cur)
+        cur = pad_levels(p, d.n)
+        if cur is not p:
+            conds.append(cur)
         if d.g.is_identity():
             # e is the empty product; any condition witnesses it
             return WitnessResult(d, conds, True, {"factorization": []}, [], {})
@@ -549,8 +546,7 @@ def witness(
             raise WitnessFailed(res.reason, res.report)
         conds.append(res.condition)
         ok, _ = verify_cyc_cert(res.cert, res.condition.system, budget)
-        if isinstance(d, DescAD):
-            ok = ok and res.condition.depth >= d.n
+        ok = ok and res.condition.depth >= d.n
         return WitnessResult(d, conds, ok, {"cyc": res.cert}, [res.report], {})
 
     if isinstance(d, DescE):
@@ -589,7 +585,3 @@ def witness(
         )
 
     raise PosetError(f"unknown descriptor {d!r}")
-
-
-def condition_axioms_ok(p: Condition, budget: Budget = DEFAULT_BUDGET) -> bool:
-    return verify_axioms(p.system, budget).passed

@@ -56,14 +56,6 @@ def gen_of(l: Letter) -> GeneratorId:
     return abs(l) - 1
 
 
-def sign_of(l: Letter) -> int:
-    return 1 if l > 0 else -1
-
-
-def inv_letter(l: Letter) -> Letter:
-    return -l
-
-
 # ---------------------------------------------------------------------------
 # Generator-id sets (interval-compressed)
 # ---------------------------------------------------------------------------
@@ -188,8 +180,6 @@ class IdSet:
 
 _EMPTY_IDSET = IdSet(())
 
-Alphabet = IdSet
-
 
 # ---------------------------------------------------------------------------
 # Segments
@@ -212,9 +202,6 @@ class Run:
 
     def letter_at(self, t: int) -> Letter:
         return self.sign * (self.start + self.step * t + 1)
-
-
-Segment = "Run | tuple[int, ...]"
 
 
 def _seg_len(seg) -> int:
@@ -388,7 +375,7 @@ class Word:
             return True
         if self._hash is not None and other._hash is not None and self._hash != other._hash:
             return False
-        return _stream_equal(self._segs, other._segs)
+        return _segs_equal(self._segs, other._segs)
 
     def __str__(self) -> str:
         if self._text is None:
@@ -402,11 +389,18 @@ class Word:
 E = Word(())
 
 
-def _stream_equal(a_segs: tuple, b_segs: tuple) -> bool:
+def _segs_equal(a_segs: tuple, b_segs: tuple, copies: int = 1) -> bool:
+    """Do ``a_segs`` spell the letters of ``b_segs`` repeated ``copies`` times?
+
+    Walks both segment lists in lockstep, ``b_segs`` cyclically, and stops at
+    the first mismatch; the repeat is never built.  For ``copies > 1`` the
+    letters of ``b_segs`` must concatenate with themselves (a cyclically
+    reduced word), so that the repeat is segment-wise concatenation.
+    """
     na, nb = len(a_segs), len(b_segs)
     ia = ib = 0
     offa = offb = 0
-    while ia < na and ib < nb:
+    while ia < na and copies:
         sa, sb = a_segs[ia], b_segs[ib]
         la = sa.count if type(sa) is Run else len(sa)
         lb = sb.count if type(sb) is Run else len(sb)
@@ -443,15 +437,15 @@ def _stream_equal(a_segs: tuple, b_segs: tuple) -> bool:
         if offb == lb:
             ib += 1
             offb = 0
-    return ia == na and ib == nb
+            if ib == nb:
+                ib = 0
+                copies -= 1
+    return ia == na and not copies
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-
-RawWord = "Iterable[Letter]"
 
 
 def reduce(raw: Iterable[Letter]) -> Word:
@@ -467,9 +461,6 @@ def reduce(raw: Iterable[Letter]) -> Word:
     if not stack:
         return E
     return Word((tuple(stack),))
-
-
-from_letters = reduce
 
 
 def single(gen: GeneratorId, sign: int = 1) -> Word:
@@ -680,59 +671,7 @@ def cyclic_member(w: Word, c: Word) -> Optional[int]:
         base, k = core.inverse(), -q
     else:
         return None
-    return k if _equals_repeat(mid, base, q) else None
-
-
-def _equals_repeat(w: Word, base: Word, copies: int) -> bool:
-    """Does w equal base repeated ``copies`` times?  Lazy; aborts on mismatch.
-
-    base must concatenate with itself (cyclically reduced), so the repeat is
-    segment-wise concatenation of copies.
-    """
-    a_segs = w._segs
-    b_segs = base._segs
-    ia = 0
-    offa = 0
-    copy = 0
-    ib = 0
-    offb = 0
-    while ia < len(a_segs):
-        if copy >= copies:
-            return False
-        sa = a_segs[ia]
-        sb = b_segs[ib]
-        ra = _seg_len(sa) - offa
-        rb = _seg_len(sb) - offb
-        m = min(ra, rb)
-        if isinstance(sa, Run) and isinstance(sb, Run):
-            if m >= 2:
-                if (
-                    sa.sign != sb.sign
-                    or sa.step != sb.step
-                    or sa.start + sa.step * offa != sb.start + sb.step * offb
-                ):
-                    return False
-            else:
-                if sa.letter_at(offa) != sb.letter_at(offb):
-                    return False
-        else:
-            for t in range(m):
-                x = sa.letter_at(offa + t) if isinstance(sa, Run) else sa[offa + t]
-                y = sb.letter_at(offb + t) if isinstance(sb, Run) else sb[offb + t]
-                if x != y:
-                    return False
-        offa += m
-        offb += m
-        if offa == _seg_len(sa):
-            ia += 1
-            offa = 0
-        if offb == _seg_len(sb):
-            ib += 1
-            offb = 0
-            if ib == len(b_segs):
-                ib = 0
-                copy += 1
-    return copy == copies and ib == 0 and offb == 0
+    return k if _segs_equal(mid._segs, base._segs, q) else None
 
 
 def flatten_letters(w: Word, cap: int = MATERIALIZE_CAP) -> list[Letter]:

@@ -17,7 +17,7 @@ from assgp.chain import (
     word_stream,
 )
 from assgp.nbhd import Budget
-from assgp.poset import DescA, DescB, DescC, DescE, Mode, TrivialG, is_extension
+from assgp.poset import DescA, DescAD, DescB, DescC, DescE, Mode, TrivialG, is_extension
 from assgp.words import E, IdSet, multiply, parse_word, single
 
 BUD = Budget(leaf_len=6, exp=2, nodes=120)
@@ -166,6 +166,21 @@ def test_full_45_state_bytes_golden(seed):
     assert hashlib.sha256(serialize(st)).hexdigest() == GOLDEN_FULL_45[seed]
 
 
+# the same for the assgp preset (C, AD, B), 120 steps, chain seeds 0-2, as
+# measured before DescD was folded into DescAD(0, g)
+GOLDEN_ASSGP_120 = {
+    0: "540a483552daf96697f9bc98b404c9c24478c648db36c610013f02c78438784e",
+    1: "c35b38b75719a7044cf0271b6b685411b6a813c08eccdda11dc37930248267c6",
+    2: "f3c7a6bd9739cde4e8c944b8cc8500d2286f3deb85177a9168afccde215d092a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_ASSGP_120))
+def test_assgp_120_state_bytes_golden(seed):
+    st = small_chain("assgp", 120, seed)
+    assert hashlib.sha256(serialize(st)).hexdigest() == GOLDEN_ASSGP_120[seed]
+
+
 class TestBasisMember:
     def test_identity_always_yes(self):
         st = small_chain("t2", 4)
@@ -176,6 +191,13 @@ class TestBasisMember:
     def test_fresh_chain_refutes(self):
         st = new_chain("t2", Mode("test", 2), BUD, 0)
         assert st.basis_member(1, a).is_no
+
+    def test_no_condition_deep_enough_is_unknown(self):
+        st = small_chain("full", 10)
+        assert st.chain[-1].depth < 100
+        for w in (E, a):
+            ans = st.basis_member(100, w)
+            assert ans.verdict == "unknown" and ans.stage is None
 
     def test_e_witness_membership(self):
         st = small_chain("full", 5)
@@ -192,7 +214,7 @@ class TestBasisMember:
 
     def test_view(self):
         st = small_chain("t2", 4)
-        assert st.basis_view(1).member(E).is_yes
+        assert st.basis_member(1, E).is_yes
 
 
 class TestSeparation:
@@ -310,6 +332,16 @@ class TestSerialization:
         st.conj_density_witness(a, b, 1)
         st2 = deserialize(serialize(st))
         assert st2.verify_certificates() == []
+
+    def test_legacy_d_key_reads_as_ad0(self):
+        assert ch._descriptor_from_key("D:a b") == DescAD(0, parse_word("a b"))
+
+    def test_cyc_cert_reads_back(self):
+        st = small_chain("assgp", 6)
+        recs = [r["cyc"] for r in st.certs.values() if r["kind"] == "D" and r.get("cyc")]
+        assert recs
+        for obj in recs:
+            assert ps.CycCert.from_obj(obj).describe() == obj
 
     def test_resumed_chain_continues_deterministically(self):
         st = small_chain("full", 8, seed=5)

@@ -34,12 +34,30 @@ class TestBuild:
             outs.append((out.read_bytes(), rep.read_bytes()))
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("mode", ["bogus", "test:1", "test:x"])
-    def test_bad_mode_is_usage_error(self, mode, tmp_path, capsys):
-        assert run(["build", "--mode", mode, "--out", tmp_path / "s.json"]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["build", "--mode", "bogus"], id="bogus"),
+            pytest.param(["build", "--mode", "test:1"], id="test:1"),
+            pytest.param(["build", "--mode", "test:x"], id="test:x"),
+            ["build", "--steps", "-3"],
+            ["build", "--steps", "2.5"],
+            ["build", "--budget-leaf", "0"],
+            ["build", "--budget-exp", "-1"],
+            ["build", "--budget-nodes", "0"],
+            ["verify", "--trials", "-1"],
+            ["check-axioms", "--samples", "-2"],
+        ],
+        ids=lambda argv: f"{argv[1]}={argv[2]}",
+    )
+    def test_bad_mode_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        where = {"build": ["--out", out], "verify": ["--report", out]}
+        argv = argv + where.get(argv[0], ["--state", out, "--out", out])
+        assert run(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "--mode" in err and "Traceback" not in err
-        assert not (tmp_path / "s.json").exists()
+        assert argv[1] in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_paper_mode_refuses_past_the_cap(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -124,7 +142,25 @@ class TestStateCommands:
         assert run(["export", "--state", state]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["reverification_failures"] == []
 
-    def test_corrupt_state_is_usage_error(self, tmp_path):
+    def test_corrupt_state_is_usage_error(self, state, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert run(["export", "--state", bad]) == EXIT_USAGE
+
+        # well-framed files whose content is malformed
+        obj = json.loads(state.read_text())
+        d_key = next(k for k, r in obj["certs"].items() if r["kind"] == "D" and r["cyc"])
+        e_key = next(k for k, r in obj["certs"].items() if r["kind"] == "E")
+        edits = [
+            lambda o: o["certs"][d_key]["cyc"].update(target="zz"),
+            lambda o: o["certs"][e_key].update(g0="zz"),
+            lambda o: o["retry_queue"].append(["Q:zz", 1]),
+        ]
+        for edit in edits:
+            broken = json.loads(state.read_text())
+            edit(broken)
+            bad.write_text(json.dumps(broken))
+            for argv in (["export"], ["query", "member"]):
+                assert run([*argv, "--state", bad]) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert "malformed" in err and "Traceback" not in err

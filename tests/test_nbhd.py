@@ -8,13 +8,11 @@ from assgp.nbhd import (
     Leaf,
     cyclic_alphabet_extension,
     enrich,
-    enumerate_members,
     eta,
     explicit_system,
     identity_extension,
     letter_bound_check,
     make_base,
-    member,
     reduce_rep,
     rep_word,
     trivial_system,
@@ -162,7 +160,7 @@ class TestEnumeration:
     def test_all_enumerated_certificates_verify(self):
         V = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
         for i in range(3):
-            for w, rep in enumerate_members(V, i, Budget(exp=2, nodes=120)):
+            for w, rep in V.enumerate(i, Budget(exp=2, nodes=120)):
                 assert V.verify_rep(i, w, rep) == (True, "")
 
     def test_deterministic(self):

@@ -2,14 +2,20 @@ import pytest
 
 from assgp import poset as ps
 from assgp.cancel import TrivialG, make_setting
-from assgp.nbhd import Budget, enrich, make_base, trivial_system, verify_axioms
+from assgp.nbhd import (
+    Budget,
+    enrich,
+    explicit_system,
+    make_base,
+    trivial_system,
+    verify_axioms,
+)
 from assgp.poset import (
     Condition,
     DescA,
     DescAD,
     DescB,
     DescC,
-    DescD,
     DescE,
     Mode,
     add_letters,
@@ -178,6 +184,23 @@ class TestIsExtension:
         rpt = is_extension(initial_condition(), p, BUD)
         assert not rpt.alphabet_ok and not rpt.passed
 
+    def test_unstacked_systems_are_sampled(self):
+        # q's system is built afresh, not stacked on p's, so the containment
+        # of p's levels in q's is checked member by member
+        levels = [[E, a, a.inverse()], [E]]
+        p = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), levels))
+        same = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), levels))
+        rpt = is_extension(same, p, BUD)
+        assert rpt.containment_mode == "sampled" and rpt.passed
+
+        dropped = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), [[E], [E]]))
+        rpt = is_extension(dropped, p, BUD)
+        assert rpt.containment_mode == "sampled" and not rpt.passed
+        assert sorted(rpt.violations) == [
+            (0, "a", "level member lost in extension"),
+            (0, "a^-1", "level member lost in extension"),
+        ]
+
 
 class TestConjExtension:
     def test_example_g0(self):
@@ -275,13 +298,13 @@ class TestWitnessDispatch:
         assert res.predicate_ok
 
     def test_D(self):
-        res = witness(initial_condition(), DescD(a), Mode("test", 2), BUD)
+        res = witness(initial_condition(), DescAD(0, a), Mode("test", 2), BUD)
         assert res.predicate_ok
         cert = res.certs["cyc"]
         assert cert.target == a
 
     def test_D_identity_is_empty_product(self):
-        res = witness(initial_condition(), DescD(E), Mode("test", 2), BUD)
+        res = witness(initial_condition(), DescAD(0, E), Mode("test", 2), BUD)
         assert res.predicate_ok and res.certs["factorization"] == []
 
     def test_AD(self):
@@ -317,7 +340,7 @@ class TestWitnessDispatch:
     def test_chain_extension_transitivity(self):
         p0 = initial_condition()
         chain = [p0]
-        for d in [DescA(2), DescB(IdSet.of(0, 1)), DescC(a), DescD(b)]:
+        for d in [DescA(2), DescB(IdSet.of(0, 1)), DescC(a), DescAD(0, b)]:
             res = witness(chain[-1], d, Mode("test", 2), BUD)
             chain.extend(res.conditions)
         for i in range(len(chain) - 1):

@@ -283,3 +283,101 @@ class TestHashEquality:
         assert d[W("a b")] == 1
         assert d[wd.single(0) * wd.single(1)] == 1
         assert d[E] == 3
+
+
+def _resegment(letters, data):
+    """A Word spelling ``letters`` (freely reduced) as a drawn mix of Run and
+    tuple segments, without gluing neighbours."""
+    segs, i = [], 0
+    while i < len(letters):
+        m = data.draw(st.integers(1, len(letters) - i))
+        chunk = letters[i : i + m]
+        steps = {(abs(y) - abs(x)) for x, y in zip(chunk, chunk[1:])}
+        signs = {x > 0 for x in chunk}
+        if m >= 2 and len(steps) == 1 and steps <= {1, -1} and len(signs) == 1:
+            if data.draw(st.booleans()):
+                sign = 1 if chunk[0] > 0 else -1
+                chunk = Run(abs(chunk[0]) - 1, m, steps.pop(), sign)
+        segs.append(chunk if isinstance(chunk, Run) else tuple(chunk))
+        i += m
+    return wd.Word(tuple(segs))
+
+
+def _run_word(start, count, step, sign):
+    first = start + (count - 1 if step < 0 else 0)
+    w = wd.Word((Run(first, count, step, 1),))
+    return w if sign > 0 else w.inverse()
+
+
+run_piece = st.builds(
+    _run_word,
+    st.integers(0, 5),
+    st.integers(2, 5),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+)
+pieces_st = st.lists(st.one_of(run_piece, letters_st(5).map(wd.reduce)), max_size=5)
+
+
+def _product(pieces):
+    acc = E
+    for p in pieces:
+        acc = acc * p
+    return acc
+
+
+def _mutate(letters, i, data):
+    """``letters`` with letter i replaced so that the result stays reduced."""
+    bad = {letters[i]}
+    if i > 0:
+        bad.add(-letters[i - 1])
+    if i + 1 < len(letters):
+        bad.add(-letters[i + 1])
+    choices = [l for g in range(1, 9) for l in (g, -g) if l not in bad]
+    return letters[:i] + [data.draw(st.sampled_from(choices))] + letters[i + 1 :]
+
+
+class TestSegmentComparator:
+    def test_runs_that_share_a_first_letter(self):
+        up, down = Run(3, 3, 1, 1), Run(5, 3, -1, 1)  # x3 x4 x5 and x5 x4 x3
+        assert wd.Word((up,)) != wd.Word((Run(3, 3, -1, 1),))
+        assert wd.Word((up,)) != wd.Word((Run(3, 3, 1, -1),))
+        assert wd.Word((up,)) == wd.Word(((4,), Run(4, 2, 1, 1)))
+        assert wd.Word((down,)) == wd.Word((Run(5, 2, -1, 1), (4,)))
+        assert wd.Word((up,)).inverse() == wd.Word(((-6, -5, -4),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces_st, st.data())
+    def test_equality_is_letter_equality(self, pieces, data):
+        v_letters = wd.flatten_letters(_product(pieces))
+        how = data.draw(st.sampled_from(["same", "mutated", "other"]))
+        if how == "same" or (how == "mutated" and not v_letters):
+            w_letters = list(v_letters)
+        elif how == "mutated":
+            i = data.draw(st.integers(0, len(v_letters) - 1))
+            w_letters = _mutate(v_letters, i, data)
+        else:
+            w_letters = wd.flatten_letters(_product(data.draw(pieces_st)))
+        v, w = _resegment(v_letters, data), _resegment(w_letters, data)
+        assert (v == w) == (v_letters == w_letters)
+        assert (w == v) == (v_letters == w_letters)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pieces_st, st.integers(-5, 5), st.data())
+    def test_cyclic_member_of_powers(self, pieces, k, data):
+        c = _product(pieces)
+        if c.is_identity():
+            return
+        c = _resegment(wd.flatten_letters(c), data)
+        ck = wd.flatten_letters(wd.power(c, k))
+        assert wd.cyclic_member(_resegment(ck, data), c) == k
+        if not ck:
+            return
+        i = data.draw(st.integers(0, len(ck) - 1))
+        off = _mutate(ck, i, data)
+        got = wd.cyclic_member(_resegment(off, data), c)
+        # one changed letter keeps the length, so only c^-k can still match
+        if off == wd.flatten_letters(wd.power(c, -k)):
+            assert got == -k
+        else:
+            assert got is None
