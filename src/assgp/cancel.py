@@ -203,10 +203,13 @@ class Decomposition:
     a: Word
     prefix_product: Word
     pieces: list[Word]
-    start_end_checked: int  # exponent range sampled for the g^l·a·g^k property
 
 
-def same_sign_decompose(inst: HypInstance, N: int, sample_exp: int = 4) -> Decomposition:
+# exponent range sampled for the g^l·a·g^r property
+SAMPLE_EXP = 4
+
+
+def same_sign_decompose(inst: HypInstance, N: int) -> Decomposition:
     """Constructive form of the all-positive prefix product.
 
     Requires signs_1..signs_N = +1.  Produces the pure-concatenation
@@ -257,14 +260,14 @@ def same_sign_decompose(inst: HypInstance, N: int, sample_exp: int = 4) -> Decom
         raise DecompositionFailed("factorization does not re-multiply to the prefix")
     if a.first != g.first or a.last != g.last:
         raise DecompositionFailed("middle factor does not share g's boundary letters")
-    for l in range(0, sample_exp + 1):
-        for r in range(0, sample_exp + 1):
+    for l in range(0, SAMPLE_EXP + 1):
+        for r in range(0, SAMPLE_EXP + 1):
             w = multiply(multiply(power(g, l), a), power(g, r))
             if w.first != g.first or w.last != g.last:
                 raise DecompositionFailed(f"g^{l}·a·g^{r} loses g's boundary letters")
             if l > 1 and r > 1 and w.is_identity():
                 raise DecompositionFailed(f"g^{l}·a·g^{r} is trivial")
-    return Decomposition(w1p, fp, a, prefix, pieces, sample_exp)
+    return Decomposition(w1p, fp, a, prefix, pieces)
 
 
 @dataclass
@@ -288,16 +291,15 @@ class SameSignReport:
         }
 
 
-def same_sign_not_in_FX(inst: HypInstance, N: Optional[int] = None) -> SameSignReport:
-    """All-equal-sign prefixes keep the reserved fresh letter visible.
+def same_sign_not_in_FX(inst: HypInstance) -> SameSignReport:
+    """All-equal-sign products keep the reserved fresh letter visible.
 
-    Verifies y_{j0} ∈ lett(w_1·v_1·...·w_N·v_N·w_{N+1}); the negative-sign
-    case is routed through the re-indexed setting (g⁻¹, e) whose instance is
-    all-positive.
+    Verifies y_{j0} ∈ lett(w_1·v_1·...·w_N·v_N·w_{N+1}) for N = inst.n; the
+    negative-sign case is routed through the re-indexed setting (g⁻¹, e)
+    whose instance is all-positive.
     """
     st = inst.setting
-    if N is None:
-        N = inst.n
+    N = inst.n
     if N < 1:
         raise CancelError("need at least one special factor")
     signs = set(inst.signs[:N])
@@ -373,13 +375,13 @@ class EtaReport:
         }
 
 
-def eta_invariance_check(seq: list[Word], setting: ConjSetting, j0: int = 1) -> EtaReport:
+def eta_invariance_check(seq: list[Word], setting: ConjSetting) -> EtaReport:
     """∏ a_l = ∏ η(a_l) where η deletes the non-trivial powers of g0.
 
     Preconditions, checked exactly: the product lies in F(X), and each factor
-    contains y_{j0} exactly when it is a non-trivial power of g0.
+    contains y_1 exactly when it is a non-trivial power of g0.
     """
-    yid = setting.y_letter_id(j0)
+    yid = setting.y_letter_id(1)
     exponents: list[Optional[int]] = []
     deltas: list[int] = []
     L: list[int] = []
@@ -389,7 +391,7 @@ def eta_invariance_check(seq: list[Word], setting: ConjSetting, j0: int = 1) -> 
         has_y = yid in letters(a)
         if has_y != in_group:
             raise PreconditionViolated(
-                idx, "y_{j0} occurrence does not match membership in ⟨g0⟩ \\ {e}"
+                idx, "y_1 occurrence does not match membership in ⟨g0⟩ \\ {e}"
             )
         exponents.append(q)
         deltas.append(0 if not in_group else (1 if q > 0 else -1))
@@ -412,15 +414,18 @@ def eta_invariance_check(seq: list[Word], setting: ConjSetting, j0: int = 1) -> 
 # ---------------------------------------------------------------------------
 
 
+# the generators' shape: base alphabet, nesting pairs, separator lengths and
+# the chance that a separator inside a matched pair draws fresh letters
+X_IDS = (0, 1)
+N_PAIRS_MAX = 3
+MAX_WORD_LEN = 6
+FRESH_PROB = 0.35
+
+
 @dataclass(frozen=True)
 class GenParams:
-    x_ids: tuple[int, ...] = (0, 1)
     k: int = 2
-    n_pairs_max: int = 3
-    max_word_len: int = 6
-    fresh_prob: float = 0.35
     sample_j0: bool = False
-    fresh_start: Optional[int] = None
 
 
 def _rand_reduced(rng: random.Random, ids: list[int], max_len: int) -> Word:
@@ -473,7 +478,7 @@ def gen_instances(seed: int, params: GenParams = GenParams()) -> Iterator[HypIns
 def _gen_one(rng: random.Random, params: GenParams) -> HypInstance:
     st = _setting_for(rng, params)
     j0 = rng.randint(1, params.k) if params.sample_j0 else 1
-    n_pairs = rng.randint(0, params.n_pairs_max)
+    n_pairs = rng.randint(0, N_PAIRS_MAX)
     forest = _rand_forest(rng, n_pairs)
 
     signs: list[int] = []
@@ -492,7 +497,7 @@ def _gen_one(rng: random.Random, params: GenParams) -> HypInstance:
     top_slots = walk(forest)
     n = len(signs)
 
-    x_ids = [g + 1 for g in params.x_ids]
+    x_ids = [g + 1 for g in X_IDS]
     mixed_ids = list(x_ids)
     for j in range(1, min(params.k, 4) + 1):
         if j != j0:
@@ -500,13 +505,13 @@ def _gen_one(rng: random.Random, params: GenParams) -> HypInstance:
 
     ws: list[Word] = [E] * (n + 1)
     for slot in top_slots:
-        ws[slot - 1] = _rand_reduced(rng, x_ids, params.max_word_len)
+        ws[slot - 1] = _rand_reduced(rng, x_ids, MAX_WORD_LEN)
     for slots in regions:
         free, forced = slots[:-1], slots[-1]
         acc = E
         for slot in free:
-            pool = mixed_ids if rng.random() < params.fresh_prob else x_ids
-            w = _rand_reduced(rng, pool, params.max_word_len)
+            pool = mixed_ids if rng.random() < FRESH_PROB else x_ids
+            w = _rand_reduced(rng, pool, MAX_WORD_LEN)
             ws[slot - 1] = w
             acc = multiply(acc, w)
         ws[forced - 1] = acc.inverse()
@@ -518,13 +523,13 @@ def _gen_one(rng: random.Random, params: GenParams) -> HypInstance:
 
 
 def _setting_for(rng: random.Random, params: GenParams) -> ConjSetting:
-    x_alpha = IdSet.from_ids(params.x_ids)
-    x_pool = [g + 1 for g in params.x_ids]
-    g = _rand_reduced(rng, x_pool, params.max_word_len)
+    x_alpha = IdSet.from_ids(X_IDS)
+    x_pool = [g + 1 for g in X_IDS]
+    g = _rand_reduced(rng, x_pool, MAX_WORD_LEN)
     while g.is_identity():
-        g = _rand_reduced(rng, x_pool, max(1, params.max_word_len))
-    h = _rand_reduced(rng, x_pool, params.max_word_len)
-    return make_setting(x_alpha, g, h, params.k, params.fresh_start)
+        g = _rand_reduced(rng, x_pool, MAX_WORD_LEN)
+    h = _rand_reduced(rng, x_pool, MAX_WORD_LEN)
+    return make_setting(x_alpha, g, h, params.k)
 
 
 def gen_same_sign(seed: int, params: GenParams = GenParams()) -> Iterator[HypInstance]:
@@ -537,15 +542,15 @@ def gen_same_sign(seed: int, params: GenParams = GenParams()) -> Iterator[HypIns
     while True:
         st = _setting_for(rng, params)
         j0 = rng.randint(1, params.k) if params.sample_j0 else 1
-        n = rng.randint(1, max(1, 2 * params.n_pairs_max))
+        n = rng.randint(1, 2 * N_PAIRS_MAX)
         sign = rng.choice((1, -1))
-        x_ids = [g + 1 for g in params.x_ids]
+        x_ids = [g + 1 for g in X_IDS]
         mixed = list(x_ids)
         for j in range(1, min(params.k, 4) + 1):
             if j != j0:
                 mixed.append(st.y_letter_id(j) + 1)
         ws = []
         for _ in range(n + 1):
-            pool = mixed if rng.random() < params.fresh_prob else x_ids
-            ws.append(_rand_reduced(rng, pool, params.max_word_len))
+            pool = mixed if rng.random() < FRESH_PROB else x_ids
+            ws.append(_rand_reduced(rng, pool, MAX_WORD_LEN))
         yield HypInstance(st, tuple(ws), (sign,) * n, j0)

@@ -60,7 +60,18 @@ from .poset import (
     verify_cyc_cert,
     witness,
 )
-from .words import E, IdSet, Word, WordError, letters, multiply, parse_word, single, supported_in
+from .words import (
+    E,
+    IdSet,
+    Word,
+    WordError,
+    flatten_letters,
+    letters,
+    multiply,
+    parse_word,
+    single,
+    supported_in,
+)
 
 FORMAT_NAME = "assgp-chain"
 FORMAT_VERSION = 1
@@ -204,10 +215,9 @@ class Schedule:
 
     @staticmethod
     def _ad_stream():
-        ns = _Indexed(Schedule._a_stream())
         gs = _Indexed(word_stream(include_identity=True))
         for i, j in _diagonal_pairs():
-            yield DescAD(ns[i].n, gs[j])
+            yield DescAD(i, gs[j])
 
     @staticmethod
     def _e_stream():
@@ -240,7 +250,6 @@ class BasisAnswer:
     verdict: str
     rep: object = None
     stage: Optional[int] = None
-    level: Optional[int] = None
 
     @property
     def is_yes(self) -> bool:
@@ -263,7 +272,6 @@ class ChainState:
         self.certs: dict[str, dict] = {}
         self.step_log: list[dict] = []
         self.retry_queue: list[tuple[str, int]] = []  # (descriptor key, attempts)
-        self._retry_descs: dict[str, object] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -326,44 +334,37 @@ class ChainState:
             }
 
     def step(self) -> dict:
-        """Consume the next scheduled descriptor (after draining a retry)."""
+        """Consume the next scheduled descriptor (after draining a retry).
+
+        A failed witness is retried up to three times, each retry with twice
+        the node budget of the one before."""
         if self.retry_queue:
             key, attempts = self.retry_queue.pop(0)
-            d = self._retry_descs.pop(key)
-            boosted = Budget(
-                self.budget.leaf_len, self.budget.exp, self.budget.nodes * (2**attempts)
-            )
-            try:
-                return self._apply_witness(d, boosted, f"retry#{attempts}")
-            except WitnessFailed as exc:
-                entry = self._failure_entry(d, exc, f"retry#{attempts}")
-                if attempts < 3:
-                    self.retry_queue.append((key, attempts + 1))
-                    self._retry_descs[key] = d
-                self.step_log.append(entry)
-                return entry
-        d = self.schedule.descriptor(self.stage)
-        self.stage += 1
+            d = _descriptor_from_key(key)
+            b = self.budget
+            budget = Budget(b.leaf_len, b.exp, b.nodes * 2**attempts)
+            origin = f"retry#{attempts}"
+        else:
+            d = self.schedule.descriptor(self.stage)
+            self.stage += 1
+            budget, origin, attempts = self.budget, "scheduled", 0
         try:
-            return self._apply_witness(d, self.budget, "scheduled")
+            return self._apply_witness(d, budget, origin)
         except WitnessFailed as exc:
-            entry = self._failure_entry(d, exc, "scheduled")
-            self.retry_queue.append((d.key(), 1))
-            self._retry_descs[d.key()] = d
+            if attempts < 3:
+                self.retry_queue.append((d.key(), attempts + 1))
+            entry = {
+                "descriptor": d.key(),
+                "origin": origin,
+                "status": "failed",
+                "reason": str(exc.args[0]) if exc.args else "witness failed",
+                "predicate_ok": False,
+                "new_conditions": [],
+                "reports": [],
+                "detail": {},
+            }
             self.step_log.append(entry)
             return entry
-
-    def _failure_entry(self, d, exc, origin) -> dict:
-        return {
-            "descriptor": d.key(),
-            "origin": origin,
-            "status": "failed",
-            "reason": str(exc.args[0]) if exc.args else "witness failed",
-            "predicate_ok": False,
-            "new_conditions": [],
-            "reports": [],
-            "detail": {},
-        }
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
@@ -385,9 +386,9 @@ class ChainState:
                 continue
             ans = cond.system.member(n, w, budget)
             if ans.is_yes:
-                return BasisAnswer("yes", ans.rep, idx, n)
+                return BasisAnswer("yes", ans.rep, idx)
             verdicts.add(ans.verdict)
-        return BasisAnswer("no" if verdicts == {"no"} else "unknown", None, None, n)
+        return BasisAnswer("no" if verdicts == {"no"} else "unknown")
 
     def separation_index(self, g: Word, budget: Optional[Budget] = None) -> tuple[int, int]:
         """Find a stage whose deepest level exactly excludes g.
@@ -455,7 +456,7 @@ class ChainState:
 
     # -- group-axiom sampling ----------------------------------------------------
 
-    def check_group_axioms(self, budget: Optional[Budget] = None, samples: int = 4) -> dict:
+    def check_group_axioms(self, budget: Optional[Budget] = None, samples: int = 3) -> dict:
         """Sampled product/symmetry/conjugation checks on certified members.
 
         Each check builds the certificate the corresponding closure argument
@@ -509,11 +510,7 @@ class ChainState:
                 for w, wrep in pool:
                     cur = wrep
                     level = m
-                    ok = True
-                    why = ""
-                    from .words import flatten_letters
-
-                    for letter_val in reversed(flatten_letters(g, cap=64)):
+                    for letter_val in reversed(flatten_letters(g)):
                         level -= 1
                         x = Word(((letter_val,),))
                         cur = Conj(level, x, cur, sys_.identity_rep(level + 1))
@@ -580,8 +577,13 @@ class ChainState:
             if not chain:
                 raise FormatError("empty chain")
             state.chain = chain
-            for key, _ in state.retry_queue:
-                state._retry_descs[key] = _descriptor_from_key(key)
+            for key, rec in state.certs.items():
+                if rec["kind"] not in ("C", "D", "E"):
+                    raise ValueError(f"certificate {key} has unknown kind {rec['kind']!r}")
+                if type(rec["stage"]) is not int or not 0 <= rec["stage"] < len(chain):
+                    raise ValueError(f"certificate {key} names stage {rec['stage']!r}")
+            for key, _ in state.retry_queue:  # step() rebuilds each from its key
+                _descriptor_from_key(key)
         except FormatError:
             raise
         except Exception as exc:  # malformed content of a well-framed file

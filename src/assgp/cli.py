@@ -12,6 +12,9 @@ Subcommands:
 * ``check-axioms`` — sampled product/symmetry/conjugation checks on a state;
 * ``export``       — dump all stored certificates after independent re-checks.
 
+``query`` and ``check-axioms`` search at the budget recorded in the state
+file, the budget its ``build`` used.
+
 Exit status: 0 success; 1 a verification failed or a counterexample was
 found; 2 usage or file-format errors; 3 query not yet decidable at the
 current stage (separation).  Unknown membership verdicts never affect exit
@@ -53,10 +56,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _budget(args) -> Budget:
-    return Budget(args.budget_leaf, args.budget_exp, args.budget_nodes)
-
-
 def _load_state(path: str) -> ch.ChainState:
     with open(path, "rb") as fh:
         return ch.deserialize(fh.read())
@@ -68,7 +67,7 @@ def _load_state(path: str) -> ch.ChainState:
 
 
 def cmd_build(args) -> int:
-    budget = _budget(args)
+    budget = Budget(args.budget_leaf, args.budget_exp, args.budget_nodes)
     state = ch.new_chain(args.preset, args.mode, budget, args.seed)
     state.run(args.steps)
     failures = [e for e in state.step_log if e["status"] != "ok"]
@@ -289,11 +288,10 @@ def cmd_query(args) -> int:
     if bad:
         print(f"query: stored certificates failed re-verification: {bad}", file=sys.stderr)
         return EXIT_FAIL
-    budget = _budget(args)
 
     if args.what == "member":
         w = parse_word(args.word)
-        ans = state.basis_member(args.n, w, budget)
+        ans = state.basis_member(args.n, w)
         out = {
             "query": "member",
             "n": args.n,
@@ -315,7 +313,7 @@ def cmd_query(args) -> int:
     if args.what == "separate":
         g = parse_word(args.g)
         try:
-            stage, level = state.separation_index(g, budget)
+            stage, level = state.separation_index(g)
         except ch.NotYetSeparated:
             _write(args.out, _canon_json({"query": "separate", "g": args.g, "verdict": "not-yet"}))
             return EXIT_NOT_YET
@@ -329,7 +327,7 @@ def cmd_query(args) -> int:
 
     if args.what == "conj":
         g, h = parse_word(args.g), parse_word(args.h)
-        rec = state.conj_density_witness(g, h, args.n, budget)
+        rec = state.conj_density_witness(g, h, args.n)
         out = {
             "query": "conj",
             "f": str(rec["f"]),
@@ -340,18 +338,15 @@ def cmd_query(args) -> int:
         _write(args.out, _canon_json(out))
         return EXIT_OK
 
-    if args.what == "assgp":
-        g = parse_word(args.g)
-        try:
-            cert = state.assgp_certificate(args.n, g, budget)
-        except ps.WitnessFailed as exc:
-            _write(args.out, _canon_json({"query": "assgp", "failed": str(exc)}))
-            return EXIT_FAIL
-        _write(args.out, _canon_json({"query": "assgp", **cert.describe()}))
-        return EXIT_OK
-
-    print(f"query: unknown kind {args.what!r}", file=sys.stderr)
-    return EXIT_USAGE
+    # args.what == "assgp", the last of the choices argparse admits
+    g = parse_word(args.g)
+    try:
+        cert = state.assgp_certificate(args.n, g)
+    except ps.WitnessFailed as exc:
+        _write(args.out, _canon_json({"query": "assgp", "failed": str(exc)}))
+        return EXIT_FAIL
+    _write(args.out, _canon_json({"query": "assgp", **cert.describe()}))
+    return EXIT_OK
 
 
 def cmd_check_axioms(args) -> int:
@@ -360,7 +355,7 @@ def cmd_check_axioms(args) -> int:
     except (OSError, ch.FormatError) as exc:
         print(f"check-axioms: cannot load state: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rpt = state.check_group_axioms(_budget(args), samples=args.samples)
+    rpt = state.check_group_axioms(samples=args.samples)
     _write(args.out, _canon_json(rpt))
     print(
         f"check-axioms: {'PASS' if rpt['passed'] else 'FAIL'} "
@@ -422,12 +417,6 @@ def _count_arg(least: int):
     return parse
 
 
-def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-leaf", type=_count_arg(1), default=6)
-    p.add_argument("--budget-exp", type=_count_arg(1), default=2)
-    p.add_argument("--budget-nodes", type=_count_arg(1), default=120)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="assgp",
@@ -442,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="chain.json")
     b.add_argument("--report", default=None)
-    _add_budget_args(b)
+    b.add_argument("--budget-leaf", type=_count_arg(1), default=nbhd.DEFAULT_BUDGET.leaf_len)
+    b.add_argument("--budget-exp", type=_count_arg(1), default=nbhd.DEFAULT_BUDGET.exp)
+    b.add_argument("--budget-nodes", type=_count_arg(1), default=nbhd.DEFAULT_BUDGET.nodes)
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="run the property suites")
@@ -465,14 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--g", type=_word_arg, default="a")
     q.add_argument("--h", type=_word_arg, default="e")
     q.add_argument("--out", default="-")
-    _add_budget_args(q)
     q.set_defaults(func=cmd_query)
 
     c = sub.add_parser("check-axioms", help="sampled group-axiom checks on a state")
     c.add_argument("--state", required=True)
     c.add_argument("--samples", type=_count_arg(0), default=3)
     c.add_argument("--out", default="-")
-    _add_budget_args(c)
     c.set_defaults(func=cmd_check_axioms)
 
     e = sub.add_parser("export", help="dump re-verified certificates")
@@ -489,6 +478,9 @@ def main(argv=None) -> int:
     except (ps.TrivialG, cc.CancelError, nbhd.NbhdError, ps.PosetError, ch.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ch.ChainError as exc:  # a stored or derived certificate failed to verify
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

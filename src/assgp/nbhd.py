@@ -94,8 +94,8 @@ class Budget:
     """
 
     leaf_len: int = 6
-    exp: int = 3
-    nodes: int = 400
+    exp: int = 2
+    nodes: int = 120
 
     def __post_init__(self):
         if self.leaf_len < 1 or self.exp < 1 or self.nodes < 1:
@@ -200,9 +200,6 @@ class BaseSet:
             return True
         return any(cyclic_member(w, c) is not None for c in self.cyclic)
 
-    def contains_identity(self) -> bool:
-        return bool(self.cyclic) or E in self.finite
-
     def support(self) -> IdSet:
         sup = IdSet.empty()
         for w in self.finite + self.cyclic:
@@ -219,9 +216,6 @@ class BaseSet:
                 out[power(c, q)] = None
                 out[power(c, -q)] = None
         return sorted(out, key=word_key)
-
-    def is_empty(self) -> bool:
-        return not self.finite and not self.cyclic
 
     def describe(self) -> dict:
         return {
@@ -303,7 +297,18 @@ class Nsys:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         key = (i, budget.key())
         if key not in self._enum_cache:
-            self._enum_cache[key] = self._enumerate(i, budget)
+            # Walk down the layers that have not enumerated level i yet and
+            # fill their caches root-upwards, so that a reloaded deep stack of
+            # cold layers does not recurse once per layer.
+            cold = []
+            layer = self
+            while key not in layer._enum_cache:
+                cold.append(layer)
+                if not isinstance(layer, (EnrichedNsys, PaddedNsys)) or i > layer.base.depth:
+                    break
+                layer = layer.base
+            for layer in reversed(cold):
+                layer._enum_cache[key] = layer._enumerate(i, budget)
         return self._enum_cache[key]
 
     def _enumerate(self, i, budget):
@@ -432,13 +437,6 @@ class ExplicitNsys(Nsys):
             return False, "explicit leaf word not in level"
         return False, "explicit system expects an explicit leaf"
 
-    def node_obj(self):
-        return {
-            "kind": "explicit",
-            "alphabet": self.alphabet.intervals,
-            "levels": [sorted(map(str, lv)) for lv in self.levels],
-        }
-
 
 class PaddedNsys(Nsys):
     """The base system with extra {e} levels appended above its depth."""
@@ -564,6 +562,9 @@ class EnrichedNsys(Nsys):
         up = self._member(i + 1, w, ctx)
         if up.is_yes:
             return _yes(Conj(i, E, up.rep, self.identity_rep(i + 1)))
+        # the search below would stop at its first node; skip the enumeration
+        if ctx.nodes_left <= 0:
+            return _unknown("search budget exhausted")
 
         inner = self.enumerate(i + 1, ctx.budget)
         # A working conjugator must appear in w or cancel into the factors,
@@ -860,12 +861,6 @@ class AxiomReport:
     def add(self, condition, mode, ok, witness=""):
         self.checks.append(AxiomCheck(condition, mode, ok, witness))
 
-    def describe(self) -> list[dict]:
-        return [
-            {"condition": c.condition, "mode": c.mode, "ok": c.ok, "witness": c.witness}
-            for c in self.checks
-        ]
-
 
 def verify_axioms(U: Nsys, budget: Budget = DEFAULT_BUDGET, samples: int = 12) -> AxiomReport:
     """Check the four level-system conditions.
@@ -975,18 +970,11 @@ def system_layers(U: Nsys, stop: Optional[Nsys] = None) -> list[dict]:
 
 
 def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:
-    from .words import parse_word
-
     sys_: Optional[Nsys] = root
     for obj in layers:
         kind = obj["kind"]
         if kind == "trivial":
             sys_ = TrivialNsys(IdSet.from_intervals(obj["alphabet"]), obj["depth"])
-        elif kind == "explicit":
-            sys_ = ExplicitNsys(
-                IdSet.from_intervals(obj["alphabet"]),
-                [[parse_word(t) for t in lv] for lv in obj["levels"]],
-            )
         elif kind == "pad":
             sys_ = PaddedNsys(sys_, obj["depth"])
         elif kind == "enrich":

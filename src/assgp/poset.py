@@ -31,7 +31,6 @@ number itself is never built.  Paper mode does build it, and refuses with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .cancel import ConjSetting, TrivialG, make_setting
 from .nbhd import (
@@ -435,33 +434,24 @@ def verify_cyc_cert(cert: CycCert, system: Nsys, budget: Budget = DEFAULT_BUDGET
     return True, ""
 
 
-@dataclass
-class CycWitness:
-    success: bool
-    condition: Optional[Condition]
-    cert: Optional[CycCert]
-    report: Optional[ExtensionReport]
-    reason: str = ""
-
-
 def cyc_witness(
     p: Condition,
     g: Word,
     mode: Mode,
     budget: Budget = DEFAULT_BUDGET,
-    k_override: Optional[int] = None,
-) -> CycWitness:
+) -> tuple[Condition, CycCert, ExtensionReport]:
     """Adjoin ⟨g0⟩ ∪ ⟨f⟩ with g0 = f·g·f⁻¹ and certify g = f⁻¹·g0·f.
 
-    Returns success only when the certificate re-verifies and the extension
-    report passes at budget; otherwise the failure comes back with the
-    report.  Never returns an unverified success.
+    Returns (q, certificate, report) only when the certificate re-verifies
+    and the extension report passes at budget; otherwise raises
+    :class:`WitnessFailed` with the reason and the report (None when the
+    certificate failed first).  Never returns an unverified success.
     """
     if g.is_identity():
         raise TrivialG("cyclic witness needs g != e")
     if not supported_in(g, p.alphabet):
         raise PosetError("g must be a word over the condition's alphabet")
-    k = k_override if k_override is not None else safe_k(mode, p)
+    k = safe_k(mode, p)
     setting = make_setting(p.alphabet, g, E, k)
     base = make_base(cyclic=[setting.g0, setting.f])
     system = enrich(p.system, base, setting.y_alphabet)
@@ -475,11 +465,11 @@ def cyc_witness(
     )
     ok, why = verify_cyc_cert(cert, system, budget)
     if not ok:
-        return CycWitness(False, None, None, None, f"certificate failed: {why}")
+        raise WitnessFailed(f"certificate failed: {why}", None)
     report = is_extension(q, p, budget)
     if not report.passed:
-        return CycWitness(False, None, None, report, "extension report failed")
-    return CycWitness(True, q, cert, report, "")
+        raise WitnessFailed("extension report failed", report)
+    return q, cert, report
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +479,11 @@ def cyc_witness(
 
 @dataclass
 class WitnessResult:
-    descriptor: object
     conditions: list[Condition]  # newly built, shallowest first
     predicate_ok: bool
     certs: dict
     reports: list[ExtensionReport]
     detail: dict = field(default_factory=dict)
-
-    @property
-    def final(self) -> Optional[Condition]:
-        return self.conditions[-1] if self.conditions else None
 
 
 def witness(
@@ -516,18 +501,18 @@ def witness(
     if isinstance(d, DescA):
         q = pad_levels(p, d.n)
         conds = [q] if q is not p else []
-        return WitnessResult(d, conds, (q.depth >= d.n), {}, [], {"depth": q.depth})
+        return WitnessResult(conds, (q.depth >= d.n), {}, [], {"depth": q.depth})
 
     if isinstance(d, DescB):
         q = add_letters(p, d.S)
         conds = [q] if q is not p else []
-        return WitnessResult(d, conds, d.S.issubset(q.alphabet), {}, [], {})
+        return WitnessResult(conds, d.S.issubset(q.alphabet), {}, [], {})
 
     if isinstance(d, DescC):
         q = separate(p, d.g)
         ans = q.system.member(q.depth, d.g, budget)
         ok = supported_in(d.g, q.alphabet) and ans.is_no
-        return WitnessResult(d, [q], ok, {"excluded_at": q.depth}, [], {})
+        return WitnessResult([q], ok, {"excluded_at": q.depth}, [], {})
 
     if isinstance(d, DescAD):
         conds: list[Condition] = []
@@ -536,18 +521,16 @@ def witness(
             conds.append(cur)
         if d.g.is_identity():
             # e is the empty product; any condition witnesses it
-            return WitnessResult(d, conds, True, {"factorization": []}, [], {})
+            return WitnessResult(conds, True, {"factorization": []}, [], {})
         grown = add_letters(cur, letters(d.g))
         if grown is not cur:
             conds.append(grown)
             cur = grown
-        res = cyc_witness(cur, d.g, mode, budget)
-        if not res.success:
-            raise WitnessFailed(res.reason, res.report)
-        conds.append(res.condition)
-        ok, _ = verify_cyc_cert(res.cert, res.condition.system, budget)
-        ok = ok and res.condition.depth >= d.n
-        return WitnessResult(d, conds, ok, {"cyc": res.cert}, [res.report], {})
+        q, cert, report = cyc_witness(cur, d.g, mode, budget)
+        conds.append(q)
+        ok, _ = verify_cyc_cert(cert, q.system, budget)
+        ok = ok and q.depth >= d.n
+        return WitnessResult(conds, ok, {"cyc": cert}, [report], {})
 
     if isinstance(d, DescE):
         conds = []
@@ -580,8 +563,6 @@ def witness(
             "threshold_log2_param_n": threshold_log2(cur.alphabet.size, d.n),
             "threshold_log2_depth": threshold_log2(cur.alphabet.size, cur.depth),
         }
-        return WitnessResult(
-            d, conds, ok, {"conj": ext, "g0": ext.setting.g0}, [ext.report], detail
-        )
+        return WitnessResult(conds, ok, {"conj": ext, "g0": ext.setting.g0}, [ext.report], detail)
 
     raise PosetError(f"unknown descriptor {d!r}")

@@ -309,10 +309,6 @@ class Word:
     def segments(self) -> tuple:
         return self._segs
 
-    @property
-    def segment_count(self) -> int:
-        return len(self._segs)
-
     def is_identity(self) -> bool:
         return not self._segs
 
@@ -539,10 +535,6 @@ def junction_cancels(v: Word, w: Word) -> int:
     return m
 
 
-def inverse(w: Word) -> Word:
-    return w.inverse()
-
-
 def power(w: Word, k: int) -> Word:
     if k == 0:
         return E
@@ -557,11 +549,6 @@ def power(w: Word, k: int) -> Word:
         if k:
             base = multiply(base, base)
     return acc
-
-
-def conjugate(u: Word, w: Word) -> Word:
-    """u · w · u⁻¹ in reduced form."""
-    return multiply(multiply(u, w), u.inverse())
 
 
 def is_concatenation(v: Word, w: Word) -> bool:
@@ -697,7 +684,7 @@ def word_key(w: Word):
 # ---------------------------------------------------------------------------
 #
 #   e                the identity
-#   a .. z           generators 0..25
+#   a .. z           generators 0..25, except e; generator 4 is x4
 #   xN               generator N
 #   x[i..j]          the run x_i · x_{i±1} · ... · x_j (positive letters)
 #   t^-1             inverse of token t
@@ -738,7 +725,7 @@ def parse_word(text: str) -> Word:
 
 
 def _fmt_gen(gen: int) -> str:
-    return chr(ord("a") + gen) if gen < 26 else f"x{gen}"
+    return chr(ord("a") + gen) if gen < 26 and gen != 4 else f"x{gen}"
 
 
 def format_word(w: Word) -> str:

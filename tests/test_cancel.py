@@ -43,7 +43,7 @@ class TestSetting:
     def test_big_k_compressed(self):
         st = setting(k=1 << 16)
         assert st.g0.length == 2 * (1 << 16) + 2
-        assert st.g0.segment_count <= 5
+        assert len(st.g0.segments) <= 5
 
     def test_f_sub(self):
         st = setting(k=4)

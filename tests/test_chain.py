@@ -343,9 +343,62 @@ class TestSerialization:
         for obj in recs:
             assert ps.CycCert.from_obj(obj).describe() == obj
 
+    def test_t2_state_with_generator_4_reads_back(self):
+        # the state holds words with generator 4, which must not print as "e"
+        st = small_chain("t2", 35)
+        blob = serialize(st)
+        assert b"x4" in blob
+        assert serialize(deserialize(blob)) == blob
+
     def test_resumed_chain_continues_deterministically(self):
         st = small_chain("full", 8, seed=5)
         resumed = deserialize(serialize(st))
         st.run(4)
         resumed.run(4)
         assert serialize(st) == serialize(resumed)
+
+
+class TestRetry:
+    @staticmethod
+    def failing(monkeypatch, key, fails):
+        """Make ``witness`` raise for ``key`` while ``fails(budget)`` holds;
+        returns the node budgets of the attempts on ``key``."""
+        real = ch.witness
+        budgets = []
+
+        def witness(p, d, mode, budget):
+            if d.key() == key:
+                budgets.append(budget.nodes)
+                if fails(budget):
+                    raise ps.WitnessFailed("forced failure", None)
+            return real(p, d, mode, budget)
+
+        monkeypatch.setattr(ch, "witness", witness)
+        return budgets
+
+    def test_three_retries_then_drop(self, monkeypatch):
+        budgets = self.failing(monkeypatch, "C:a", lambda budget: True)
+        st = small_chain("full", 2)
+        st.run(2)  # C:a fails as scheduled, then once on retry
+        mid = serialize(st)
+        assert st.retry_queue == [("C:a", 2)]
+        st.run(5)
+        tries = [e for e in st.step_log if e["descriptor"] == "C:a"]
+        assert [e["origin"] for e in tries] == ["scheduled", "retry#1", "retry#2", "retry#3"]
+        assert all(e["status"] == "failed" for e in tries)
+        assert budgets == [120, 240, 480, 960]
+        assert st.retry_queue == []
+        assert [e["origin"] for e in st.step_log[-2:]] == ["scheduled", "scheduled"]
+
+        resumed = deserialize(mid)
+        resumed.run(5)
+        assert serialize(resumed) == serialize(st)
+
+    def test_retry_with_a_larger_budget_succeeds(self, monkeypatch):
+        self.failing(monkeypatch, "C:a", lambda budget: budget.nodes == BUD.nodes)
+        st = small_chain("full", 4)
+        assert [(e["origin"], e["status"]) for e in st.step_log[2:]] == [
+            ("scheduled", "failed"),
+            ("retry#1", "ok"),
+        ]
+        assert st.retry_queue == [] and "C:a" in st.certs

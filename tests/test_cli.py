@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from assgp import chain as ch
 from assgp.cli import EXIT_FAIL, EXIT_NOT_YET, EXIT_OK, EXIT_USAGE, main
+from assgp.poset import Mode
+from assgp.words import parse_word
 
 
 def run(argv) -> int:
@@ -155,6 +158,9 @@ class TestStateCommands:
             lambda o: o["certs"][d_key]["cyc"].update(target="zz"),
             lambda o: o["certs"][e_key].update(g0="zz"),
             lambda o: o["retry_queue"].append(["Q:zz", 1]),
+            lambda o: o["certs"][e_key].update(stage=999),
+            lambda o: o["certs"][e_key].update(stage="1"),
+            lambda o: o["certs"][d_key].update(kind="Z"),
         ]
         for edit in edits:
             broken = json.loads(state.read_text())
@@ -164,3 +170,18 @@ class TestStateCommands:
                 assert run([*argv, "--state", bad]) == EXIT_USAGE
                 err = capsys.readouterr().err
                 assert "malformed" in err and "Traceback" not in err
+
+    def test_failed_reverification_is_a_failure(self, tmp_path, capsys):
+        # a cached conjugacy record whose conjugator f no longer conjugates g
+        # into g0 is a failed verification, not a traceback
+        st = ch.new_chain("full", Mode("test", 2), seed=0)
+        st.run(5)
+        st.conj_density_witness(parse_word("a"), parse_word("b"), 1)
+        obj = st.to_obj()
+        obj["certs"]["E:1|0,1|a|b^-1"]["f"] = "a"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert query(bad, "conj", "--n", 1, "--g", "a", "--h", "b") == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "re-verification" in err
+        assert "Traceback" not in err

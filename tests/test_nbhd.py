@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from assgp import nbhd
@@ -318,6 +320,35 @@ class TestSerialization:
         assert rebuilt.depth == 3
         assert rebuilt.alphabet == W_.alphabet
         assert rebuilt.member(0, power(y, 2)).is_yes
+
+    def test_reloaded_deep_stack_enumerates(self):
+        # a reloaded state has no enumeration cached; enumerating its top
+        # layer must not recurse once per layer
+        U = trivial_system(A, 1)
+        for gid in range(30, 630):
+            U = cyclic_alphabet_extension(U, IdSet.of(gid))
+        rebuilt = nbhd.system_from_layers(nbhd.system_layers(U))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            items = rebuilt.enumerate(0, Budget(6, 2, 120))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert items[0][0] == E and len(items) == 120
+
+    def test_exhausted_search_skips_enumeration(self, monkeypatch):
+        # 200 enrich layers spend the 120 search nodes before the search
+        # reaches the root; the layers it backs out of must not enumerate
+        U = trivial_system(A, 1)
+        for gid in range(30, 230):
+            U = cyclic_alphabet_extension(U, IdSet.of(gid))
+
+        def refuse(self, i, budget):
+            raise AssertionError("enumerated with the search budget spent")
+
+        monkeypatch.setattr(nbhd.Nsys, "enumerate", refuse)
+        ans = U.member(0, a, Budget(6, 2, 120))
+        assert ans.verdict == "unknown" and ans.reason == "search budget exhausted"
 
     def test_rep_roundtrip(self):
         V = cyclic_alphabet_extension(trivial_system(A, 1), IdSet.of(24))

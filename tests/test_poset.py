@@ -221,7 +221,7 @@ class TestConjExtension:
         r = conj_extension(p0, a, E, Mode("paper"))
         assert r.used_k == 16
         assert r.guaranteed
-        assert r.setting.f.segment_count == 1
+        assert len(r.setting.f.segments) == 1
         assert r.report.spot and r.report.passed
 
     def test_trivial_g_rejected(self):
@@ -251,27 +251,28 @@ class TestConjExtension:
 class TestCycWitness:
     def test_three_factor_certificate(self):
         p = add_letters(initial_condition(), IdSet.of(0, 1))
-        res = cyc_witness(p, a, Mode("test", 2), BUD)
-        assert res.success
+        q, cert, report = cyc_witness(p, a, Mode("test", 2), BUD)
         prod = E
-        for f in res.cert.factors:
+        for f in cert.factors:
             prod = multiply(prod, f)
         assert prod == a
-        ok, why = verify_cyc_cert(res.cert, res.condition.system, BUD)
+        ok, why = verify_cyc_cert(cert, q.system, BUD)
         assert ok, why
-        assert res.report.passed
+        assert report.passed
 
     def test_adaptive_k_exceeds_depth(self):
         p = pad_levels(initial_condition(), 3)
-        res = cyc_witness(p, a, Mode("test", 2), BUD)
-        assert res.success
-        assert res.cert.gens[0].length >= 4  # f has depth+1 letters at least
+        _, cert, _ = cyc_witness(p, a, Mode("test", 2), BUD)
+        assert cert.gens[0].length >= 4  # f has depth+1 letters at least
 
-    def test_forced_small_k_fails_closed(self):
+    def test_forced_small_k_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(ps, "safe_k", lambda mode, p: 2)
         p = pad_levels(initial_condition(), 2)
-        res = cyc_witness(p, a, Mode("test", 2), Budget(exp=2, nodes=500), k_override=2)
-        assert not res.success
-        assert res.report is not None and not res.report.passed
+        with pytest.raises(ps.WitnessFailed) as exc:
+            cyc_witness(p, a, Mode("test", 2), Budget(exp=2, nodes=500))
+        reason, report = exc.value.args
+        assert reason == "extension report failed"
+        assert report is not None and not report.passed
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialG):
@@ -281,7 +282,7 @@ class TestCycWitness:
 class TestWitnessDispatch:
     def test_A(self):
         res = witness(initial_condition(), DescA(3))
-        assert res.predicate_ok and res.final.depth == 3
+        assert res.predicate_ok and res.conditions[-1].depth == 3
 
     def test_A_already_satisfied(self):
         p = pad_levels(initial_condition(), 3)
@@ -291,7 +292,7 @@ class TestWitnessDispatch:
     def test_B(self):
         res = witness(initial_condition(), DescB(IdSet.of(0, 1, 2)))
         assert res.predicate_ok
-        assert IdSet.of(0, 1, 2).issubset(res.final.alphabet)
+        assert IdSet.of(0, 1, 2).issubset(res.conditions[-1].alphabet)
 
     def test_C(self):
         res = witness(initial_condition(), DescC(parse_word("a b^-1")), budget=BUD)
@@ -310,7 +311,7 @@ class TestWitnessDispatch:
     def test_AD(self):
         res = witness(initial_condition(), DescAD(2, b), Mode("test", 2), BUD)
         assert res.predicate_ok
-        assert res.final.depth >= 2
+        assert res.conditions[-1].depth >= 2
 
     def test_E(self):
         res = witness(

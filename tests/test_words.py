@@ -71,7 +71,8 @@ class TestGroupOps:
         assert wd.power(W("a b"), -2) == (W("a b") * W("a b")).inverse()
 
     def test_conjugate(self):
-        assert wd.conjugate(W("a"), W("b")) == W("a b a^-1")
+        u, w = W("a"), W("b")
+        assert u * w * u.inverse() == W("a b a^-1")
 
     @given(letters_st(), letters_st(), letters_st())
     def test_associativity(self, x, y, z):
@@ -180,7 +181,7 @@ class TestRuns:
     def test_huge_run_arithmetic(self):
         big = wd.fresh_run(0, 1 << 32)
         assert big.length == 1 << 32
-        assert big.segment_count == 1
+        assert len(big.segments) == 1
         assert (big * big.inverse()) is E or (big * big.inverse()) == E
         half, rest = wd.split_at(big, 1 << 31)
         assert half.length == rest.length == 1 << 31
@@ -190,7 +191,7 @@ class TestRuns:
         f = wd.fresh_run(10, 1 << 20)
         g = wd.single(0)
         w = f * g * f.inverse()
-        assert w.segment_count == 3
+        assert len(w.segments) == 3
         assert w * w.inverse() == E
         assert wd.cyclic_decompose(w) == (f, g)
 
@@ -221,7 +222,7 @@ class TestRuns:
 class TestText:
     @pytest.mark.parametrize(
         "text",
-        ["e", "a", "b^-1", "a b^-1 a", "x30 a", "x[2..9]", "x[9..2]", "x[2..9]^-1"],
+        ["e", "a", "b^-1", "a b^-1 a", "x30 a", "x4", "x4^-1 d", "x[2..9]", "x[9..2]", "x[2..9]^-1"],
     )
     def test_roundtrip(self, text):
         w = wd.parse_word(text)
