@@ -289,7 +289,7 @@ def _glue(segs) -> tuple:
 
 
 class Word:
-    __slots__ = ("_segs", "_length", "_hash", "_text")
+    __slots__ = ("_segs", "_length", "_hash", "_text", "_span")
 
     def __init__(self, segs: tuple):
         # Internal constructor: segs must denote a freely reduced sequence.
@@ -300,6 +300,7 @@ class Word:
         self._length = total
         self._hash: Optional[int] = None
         self._text: Optional[str] = None
+        self._span: Optional[int] = None  # see _id_span
 
     @property
     def length(self) -> int:
@@ -570,7 +571,38 @@ def letters(w: Word) -> IdSet:
     return IdSet.from_intervals(pairs)
 
 
+_SPAN_SHIFT = 32
+_SPAN_MASK = (1 << _SPAN_SHIFT) - 1
+
+
+def _id_span(w: Word) -> int:
+    """``hi << 32 | lo`` for the lowest and highest generator id of w, or -1
+    when w is the identity or lo does not fit in 32 bits.  One int rather
+    than a pair keeps the per-word cache small."""
+    if not w._segs:
+        return -1
+    los, his = [], []
+    for s in w._segs:
+        if type(s) is Run:
+            end = s.start + s.step * (s.count - 1)
+            los.append(min(s.start, end))
+            his.append(max(s.start, end))
+        else:
+            los.append(min(map(abs, s)) - 1)
+            his.append(max(map(abs, s)) - 1)
+    lo = min(los)
+    if lo > _SPAN_MASK:
+        return -1
+    return max(his) << _SPAN_SHIFT | lo
+
+
 def supported_in(w: Word, alpha: IdSet) -> bool:
+    span = w._span
+    if span is None:
+        span = w._span = _id_span(w)
+    # one interval test when the whole span lies in a single interval of alpha
+    if span >= 0 and alpha.contains_range(span & _SPAN_MASK, span >> _SPAN_SHIFT):
+        return True
     for s in w._segs:
         if isinstance(s, Run):
             end = s.start + s.step * (s.count - 1)

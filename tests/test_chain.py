@@ -181,6 +181,16 @@ def test_assgp_120_state_bytes_golden(seed):
     assert hashlib.sha256(serialize(st)).hexdigest() == GOLDEN_ASSGP_120[seed]
 
 
+def test_full_240_state_bytes_golden():
+    # 136 conditions, depth 49: deeper than the goldens above reach
+    st = small_chain("full", 240, 0)
+    assert (len(st.chain), st.chain[-1].depth) == (136, 49)
+    assert (
+        hashlib.sha256(serialize(st)).hexdigest()
+        == "5da3be13323b3e9d752caedd93ddc7c069eb512bea7aa8a8b39ad20f13abe3da"
+    )
+
+
 class TestBasisMember:
     def test_identity_always_yes(self):
         st = small_chain("t2", 4)

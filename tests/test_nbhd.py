@@ -184,6 +184,29 @@ class TestEnumeration:
             assert budgeted == set(exact[i])
 
 
+class TestEnumerationCap:
+    def test_full_base_level_is_the_level(self):
+        # U's level 0 already holds `nodes` words, so V's conjugation pass
+        # could add nothing: V enumerates exactly U's words, in U's order
+        bud = Budget(6, 2, 10)
+        U = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
+        base = U.enumerate(0, bud)
+        assert len(base) >= bud.nodes
+        V = identity_extension(U, IdSet.of(25))
+        assert V.enumerate(0, bud) == [(w, Leaf(0, w, "base", r)) for w, r in base]
+        assert (1, bud.key()) not in V._enum_cache
+
+    def test_level_below_cap_gains_conjugates(self):
+        bud = Budget(6, 2, 120)
+        V = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
+        base = V.base.enumerate(0, bud)
+        assert len(base) < bud.nodes
+        items = V.enumerate(0, bud)
+        assert len(items) > len(base)
+        assert any(isinstance(r, Conj) and not r.x.is_identity() for _, r in items)
+        assert (1, bud.key()) in V._enum_cache
+
+
 class TestMonotonicity:
     def test_smaller_base_certificates_carry_over(self):
         U = trivial_system(AB, 2)
@@ -332,9 +355,23 @@ class TestSerialization:
         sys.setrecursionlimit(1000)
         try:
             items = rebuilt.enumerate(0, Budget(6, 2, 120))
+            # fewer frames than layers: the certificate walks must not
+            # recurse once per layer either
+            sys.setrecursionlimit(400)
+            ident = rebuilt.identity_rep(0)
+            inverted = nbhd.invert_rep(ident)
+            assert rebuilt.verify_rep(0, E, ident) == (True, "")
         finally:
             sys.setrecursionlimit(limit)
         assert items[0][0] == E and len(items) == 120
+        # walk both 600-leaf chains without Leaf.__eq__, which recurses
+        depth = 0
+        while ident is not None:
+            assert isinstance(inverted, Leaf) and inverted.word == ident.word == E
+            assert (inverted.level, inverted.origin) == (ident.level, ident.origin)
+            ident, inverted = ident.sub, inverted.sub
+            depth += 1
+        assert inverted is None and depth == 601
 
     def test_exhausted_search_skips_enumeration(self, monkeypatch):
         # 200 enrich layers spend the 120 search nodes before the search

@@ -382,3 +382,47 @@ class TestSegmentComparator:
             assert got == -k
         else:
             assert got is None
+
+
+def _alphabet(pairs):
+    """An id set of intervals [lo, lo + width] from drawn (lo, width) pairs."""
+    return IdSet.from_intervals((lo, lo + width) for lo, width in pairs)
+
+
+alphabet_st = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=4).map(
+    _alphabet
+)
+
+
+class TestSupportedIn:
+    @settings(max_examples=200, deadline=None)
+    @given(pieces_st, alphabet_st, st.data())
+    def test_matches_support_subset(self, pieces, alpha, data):
+        w = _resegment(wd.flatten_letters(_product(pieces)), data)
+        assert wd.supported_in(w, alpha) == wd.letters(w).issubset(alpha)
+
+    def test_one_word_against_several_alphabets(self):
+        # the cached id span of w is 1..9, its lowest id in the last
+        # segment; each answer must come from the alphabet at hand, not from
+        # an earlier call
+        w = wd.Word((Run(9, 2, -1, -1), Run(3, 4, 1, 1), (2,)))  # x[8..9]^-1 x[3..6] b
+        cases = [
+            (IdSet.from_range(0, 9), True),
+            (IdSet.from_intervals([(1, 6), (8, 9)]), True),
+            (IdSet.from_intervals([(1, 5), (8, 9)]), False),
+            (IdSet.from_range(1, 9), True),
+            (IdSet.from_range(2, 9), False),
+            (IdSet.from_intervals([(0, 1), (3, 9)]), True),
+            (IdSet.from_range(0, 8), False),
+        ]
+        for alpha, expect in cases * 2:
+            assert wd.supported_in(w, alpha) is expect, alpha
+
+    def test_ids_beyond_32_bits(self):
+        big = 1 << 40
+        w = wd.fresh_run(big, 3) * wd.single(big + 10, -1)
+        assert wd.supported_in(w, IdSet.from_intervals([(big, big + 2), (big + 10, big + 10)]))
+        assert not wd.supported_in(w, IdSet.from_range(big, big + 9))
+        low = wd.single(1) * wd.single(big + 1)
+        assert wd.supported_in(low, IdSet.from_range(0, big + 1))
+        assert not wd.supported_in(low, IdSet.from_range(2, big + 1))
