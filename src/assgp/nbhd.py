@@ -143,26 +143,11 @@ def rep_word(rep) -> Word:
 
 def invert_rep(rep):
     """Certificate for the inverse word; valid because levels and base sets
-    are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹.
-
-    Iterative, because a deep stack nests one ``Leaf.sub`` per layer."""
-    done: list = []  # inverted subtrees, most recent last
-    todo: list = [(rep, False)]
-    while todo:
-        node, children_done = todo.pop()
-        if isinstance(node, Leaf):
-            if node.sub is not None and not children_done:
-                todo += [(node, True), (node.sub, False)]
-                continue
-            sub = done.pop() if node.sub is not None else None
-            done.append(Leaf(node.level, node.word.inverse(), node.origin, sub))
-        elif not children_done:
-            # right is inverted first, so left's inverse ends up on top
-            todo += [(node, True), (node.left, False), (node.right, False)]
-        else:
-            left_inv = done.pop()
-            done.append(Conj(node.level, node.x, done.pop(), left_inv))
-    return done.pop()
+    are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹."""
+    if isinstance(rep, Leaf):
+        sub = invert_rep(rep.sub) if rep.sub is not None else None
+        return Leaf(rep.level, rep.word.inverse(), rep.origin, sub)
+    return Conj(rep.level, rep.x, invert_rep(rep.right), invert_rep(rep.left))
 
 
 @dataclass(frozen=True)
@@ -356,20 +341,6 @@ class Nsys:
         raise NotImplementedError
 
     def identity_rep(self, i: int):
-        """Certificate for e at level i.  Built bottom-up, because a deep
-        stack nests one base leaf per enrich layer."""
-        wraps = 0
-        layer = self
-        while isinstance(layer, (EnrichedNsys, PaddedNsys)) and i <= layer.base.depth:
-            if isinstance(layer, EnrichedNsys):
-                wraps += 1
-            layer = layer.base
-        rep = layer._identity_leaf(i)
-        for _ in range(wraps):
-            rep = Leaf(i, E, "base", rep)
-        return rep
-
-    def _identity_leaf(self, i: int):
         raise NotImplementedError
 
     def verify_rep(self, i: int, w: Word, rep) -> tuple[bool, str]:
@@ -382,37 +353,6 @@ class Nsys:
         return True, ""
 
     def _verify_structure(self, i, rep) -> tuple[bool, str]:
-        """Check the shape and leaf claims of a certificate at level i.
-
-        Base leaves are followed down the stack in a loop, not one frame per
-        layer; their inner words are then checked deepest first."""
-        chain = []
-        layer = self
-        while True:
-            if isinstance(layer, PaddedNsys) and i <= layer.base.depth:
-                layer = layer.base
-            elif (
-                isinstance(layer, EnrichedNsys)
-                and isinstance(rep, Leaf)
-                and rep.level == i
-                and rep.origin == "base"
-            ):
-                if rep.sub is None:
-                    return False, "base leaf missing inner certificate"
-                chain.append(rep)
-                layer, rep = layer.base, rep.sub
-            else:
-                break
-        ok, why = layer._verify_node(i, rep)
-        if not ok:
-            return False, why
-        for leaf in reversed(chain):
-            if rep_word(leaf.sub) != leaf.word:
-                return False, "inner certificate certifies a different word"
-        return True, ""
-
-    def _verify_node(self, i, rep) -> tuple[bool, str]:
-        """This layer's own check of a node that is not a base leaf."""
         raise NotImplementedError
 
     def ancestors(self) -> list["Nsys"]:
@@ -447,10 +387,10 @@ class TrivialNsys(Nsys):
     def _exact_levels(self):
         return [{E: Leaf(i, E, "trivial")} for i in range(self.depth + 1)]
 
-    def _identity_leaf(self, i):
+    def identity_rep(self, i):
         return Leaf(i, E, "trivial")
 
-    def _verify_node(self, i, rep):
+    def _verify_structure(self, i, rep):
         if isinstance(rep, Leaf) and rep.level == i and rep.origin == "trivial":
             if rep.word.is_identity():
                 return True, ""
@@ -485,12 +425,12 @@ class ExplicitNsys(Nsys):
             for i, level in enumerate(self.levels)
         ]
 
-    def _identity_leaf(self, i):
+    def identity_rep(self, i):
         if E not in self.levels[i]:
             raise NbhdError("explicit system lacks e at level %d" % i)
         return Leaf(i, E, "explicit")
 
-    def _verify_node(self, i, rep):
+    def _verify_structure(self, i, rep):
         if isinstance(rep, Leaf) and rep.level == i and rep.origin == "explicit":
             if rep.word in self.levels[i]:
                 return True, ""
@@ -527,10 +467,14 @@ class PaddedNsys(Nsys):
             {E: Leaf(i, E, "pad")} for i in range(self.base.depth + 1, self.depth + 1)
         ]
 
-    def _identity_leaf(self, i):
+    def identity_rep(self, i):
+        if i <= self.base.depth:
+            return self.base.identity_rep(i)
         return Leaf(i, E, "pad")
 
-    def _verify_node(self, i, rep):
+    def _verify_structure(self, i, rep):
+        if i <= self.base.depth:
+            return self.base._verify_structure(i, rep)
         if isinstance(rep, Leaf) and rep.level == i and rep.origin == "pad":
             if rep.word.is_identity():
                 return True, ""
@@ -724,7 +668,10 @@ class EnrichedNsys(Nsys):
             levels[i] = cur
         return levels
 
-    def _verify_node(self, i, rep):
+    def identity_rep(self, i):
+        return Leaf(i, E, "base", self.base.identity_rep(i))
+
+    def _verify_structure(self, i, rep):
         if isinstance(rep, Leaf):
             if rep.level != i:
                 return False, "leaf level mismatch"
@@ -733,6 +680,15 @@ class EnrichedNsys(Nsys):
                     return False, "adjoined-set leaves live at the deepest level"
                 if not self.extra.contains(rep.word):
                     return False, "leaf word not in the adjoined set"
+                return True, ""
+            if rep.origin == "base":
+                if rep.sub is None:
+                    return False, "base leaf missing inner certificate"
+                ok, why = self.base._verify_structure(i, rep.sub)
+                if not ok:
+                    return False, why
+                if rep_word(rep.sub) != rep.word:
+                    return False, "inner certificate certifies a different word"
                 return True, ""
             return False, f"unexpected leaf origin {rep.origin!r}"
         if isinstance(rep, Conj):

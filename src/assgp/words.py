@@ -300,7 +300,7 @@ class Word:
         self._length = total
         self._hash: Optional[int] = None
         self._text: Optional[str] = None
-        self._span: Optional[int] = None  # see _id_span
+        self._span: Optional[int] = None  # see supported_in
 
     @property
     def length(self) -> int:
@@ -559,8 +559,9 @@ def is_concatenation(v: Word, w: Word) -> bool:
     return v.last != -w.first
 
 
-def letters(w: Word) -> IdSet:
-    """Support of w as a compact id set; letters(e) is empty."""
+def _id_ranges(w: Word) -> list[tuple[int, int]]:
+    """(lowest, highest) generator id of each run and of each explicit
+    letter of w, in word order."""
     pairs = []
     for s in w._segs:
         if isinstance(s, Run):
@@ -568,41 +569,45 @@ def letters(w: Word) -> IdSet:
             pairs.append((min(s.start, end), max(s.start, end)))
         else:
             pairs.extend((gen_of(l), gen_of(l)) for l in s)
-    return IdSet.from_intervals(pairs)
+    return pairs
+
+
+def letters(w: Word) -> IdSet:
+    """Support of w as a compact id set; letters(e) is empty."""
+    return IdSet.from_intervals(_id_ranges(w))
 
 
 _SPAN_SHIFT = 32
 _SPAN_MASK = (1 << _SPAN_SHIFT) - 1
+_CHECKED_ONCE = -2  # Word._span of a word supported_in has seen once
 
 
 def _id_span(w: Word) -> int:
     """``hi << 32 | lo`` for the lowest and highest generator id of w, or -1
     when w is the identity or lo does not fit in 32 bits.  One int rather
     than a pair keeps the per-word cache small."""
-    if not w._segs:
+    pairs = _id_ranges(w)
+    if not pairs:
         return -1
-    los, his = [], []
-    for s in w._segs:
-        if type(s) is Run:
-            end = s.start + s.step * (s.count - 1)
-            los.append(min(s.start, end))
-            his.append(max(s.start, end))
-        else:
-            los.append(min(map(abs, s)) - 1)
-            his.append(max(map(abs, s)) - 1)
-    lo = min(los)
+    lo = min(pairs)[0]
     if lo > _SPAN_MASK:
         return -1
-    return max(his) << _SPAN_SHIFT | lo
+    return max(hi for _, hi in pairs) << _SPAN_SHIFT | lo
 
 
 def supported_in(w: Word, alpha: IdSet) -> bool:
     span = w._span
     if span is None:
-        span = w._span = _id_span(w)
-    # one interval test when the whole span lies in a single interval of alpha
-    if span >= 0 and alpha.contains_range(span & _SPAN_MASK, span >> _SPAN_SHIFT):
-        return True
+        # Most words are checked once, and the scan below, which stops at
+        # the first foreign letter, is the cheaper answer for them; a word
+        # checked again caches its span.
+        w._span = _CHECKED_ONCE
+    else:
+        if span == _CHECKED_ONCE:
+            span = w._span = _id_span(w)
+        # one interval test when the whole span lies in a single interval of alpha
+        if span >= 0 and alpha.contains_range(span & _SPAN_MASK, span >> _SPAN_SHIFT):
+            return True
     for s in w._segs:
         if isinstance(s, Run):
             end = s.start + s.step * (s.count - 1)

@@ -396,10 +396,18 @@ alphabet_st = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_siz
 
 class TestSupportedIn:
     @settings(max_examples=200, deadline=None)
-    @given(pieces_st, alphabet_st, st.data())
-    def test_matches_support_subset(self, pieces, alpha, data):
+    @given(pieces_st, alphabet_st, alphabet_st, st.data())
+    def test_matches_support_subset(self, pieces, alpha, beta, data):
+        # the first check scans, later ones go through the cached span
         w = _resegment(wd.flatten_letters(_product(pieces)), data)
-        assert wd.supported_in(w, alpha) == wd.letters(w).issubset(alpha)
+        for al in (alpha, beta, alpha, beta):
+            assert wd.supported_in(w, al) == wd.letters(w).issubset(al)
+
+    def test_span_cached_from_the_second_check(self):
+        w = wd.Word((Run(3, 4, 1, 1), (2,)))  # x[3..6] b: ids 1..6
+        alpha = IdSet.from_range(0, 9)
+        assert wd.supported_in(w, alpha) and w._span == wd._CHECKED_ONCE
+        assert wd.supported_in(w, alpha) and w._span == 6 << 32 | 1
 
     def test_one_word_against_several_alphabets(self):
         # the cached id span of w is 1..9, its lowest id in the last
