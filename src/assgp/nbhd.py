@@ -454,8 +454,13 @@ class PaddedNsys(Nsys):
             return _yes(Leaf(i, E, "pad"))
         return _no("padded level is {e}")
 
+    def inherits(self, i: int, budget: Budget) -> bool:
+        """True when level i is the base's level i: padding appends {e}
+        levels past the base's depth and leaves the others as they are."""
+        return i <= self.base.depth
+
     def _enumerate(self, i, budget):
-        if i <= self.base.depth:
+        if self.inherits(i, budget):
             return self.base.enumerate(i, budget)
         return [(E, Leaf(i, E, "pad"))]
 
@@ -587,20 +592,29 @@ class EnrichedNsys(Nsys):
 
     # -- enumeration -----------------------------------------------------------
 
+    def inherits(self, i: int, budget: Budget) -> bool:
+        """True when the enumeration of level i is the base's, word for word:
+        below the deepest level, with no exact level sets, a base level that
+        already holds ``budget.nodes`` words leaves the conjugation pass of
+        :meth:`_enumerate` nothing to add."""
+        return (
+            i < self.depth
+            and self.exact_levels() is None
+            and len(self.base.enumerate(i, budget)) >= budget.nodes
+        )
+
     def _enumerate(self, i, budget):
+        # base enumerations are sorted and free of repeats already
+        if self.inherits(i, budget):
+            return [(w, Leaf(i, w, "base", r)) for w, r in self.base.enumerate(i, budget)]
         exact = self.exact_levels()
         if exact is not None:
             return sorted(exact[i].items(), key=lambda kv: word_key(kv[0]))
-        items: dict[Word, object] = {}
-        for w, r in self.base.enumerate(i, budget):
-            items.setdefault(w, Leaf(i, w, "base", r))
+        items = {w: Leaf(i, w, "base", r) for w, r in self.base.enumerate(i, budget)}
         if i == self.depth:
             for w in self.extra.enumerate(budget):
                 items.setdefault(w, Leaf(i, w, "extra"))
             return sorted(items.items(), key=lambda kv: word_key(kv[0]))[: budget.nodes]
-        if len(items) >= budget.nodes:
-            # the conjugation pass below would stop before its first insert
-            return sorted(items.items(), key=lambda kv: word_key(kv[0]))
 
         inner = self.enumerate(i + 1, budget)
         uv: dict[Word, tuple] = {}

@@ -187,18 +187,26 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
     restriction direction enumerates q's levels within budget, filters words
     supported in p's alphabet, and demands membership in p's level; an exact
     refusal is a violation with a concrete witness word.
+
+    When q is stacked on p and every layer between them inherits level i
+    (``inherits``), q's enumeration of level i is p's, word for word.  Each
+    of those words is then in p's level and, by axiom (1), in F(X_p), so
+    the scan would count all of them and find nothing: the level adds its
+    size to ``checked`` and is skipped.
     """
+    layers = q.system.ancestors()
+    stacked = p.system in layers
     rpt = ExtensionReport(
         alphabet_ok=p.alphabet.issubset(q.alphabet),
         depth_ok=p.depth <= q.depth,
-        containment_mode="stacked" if p.system in q.system.ancestors() else "sampled",
+        containment_mode="stacked" if stacked else "sampled",
         budget_key=budget.key(),
         pair=(q, p),
     )
     if not (rpt.alphabet_ok and rpt.depth_ok):
         return rpt
 
-    if rpt.containment_mode == "sampled":
+    if not stacked:
         for i in range(p.depth + 1):
             q_words = q.system.enum_words(i, budget)
             for w, _ in p.system.enumerate(i, budget):
@@ -211,7 +219,11 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
                 elif not ans.is_yes:
                     rpt.unknowns += 1
 
+    between = layers[: layers.index(p.system)] if stacked else None
     for i in range(p.depth + 1):
+        if between is not None and all(layer.inherits(i, budget) for layer in between):
+            rpt.checked += len(p.system.enumerate(i, budget))
+            continue
         p_words = p.system.enum_words(i, budget)
         for w, _ in q.system.enumerate(i, budget):
             if not supported_in(w, p.alphabet):

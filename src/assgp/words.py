@@ -289,7 +289,7 @@ def _glue(segs) -> tuple:
 
 
 class Word:
-    __slots__ = ("_segs", "_length", "_hash", "_text", "_span")
+    __slots__ = ("_segs", "_length", "_hash", "_text")
 
     def __init__(self, segs: tuple):
         # Internal constructor: segs must denote a freely reduced sequence.
@@ -300,7 +300,6 @@ class Word:
         self._length = total
         self._hash: Optional[int] = None
         self._text: Optional[str] = None
-        self._span: Optional[int] = None  # see supported_in
 
     @property
     def length(self) -> int:
@@ -559,9 +558,8 @@ def is_concatenation(v: Word, w: Word) -> bool:
     return v.last != -w.first
 
 
-def _id_ranges(w: Word) -> list[tuple[int, int]]:
-    """(lowest, highest) generator id of each run and of each explicit
-    letter of w, in word order."""
+def letters(w: Word) -> IdSet:
+    """Support of w as a compact id set; letters(e) is empty."""
     pairs = []
     for s in w._segs:
         if isinstance(s, Run):
@@ -569,45 +567,10 @@ def _id_ranges(w: Word) -> list[tuple[int, int]]:
             pairs.append((min(s.start, end), max(s.start, end)))
         else:
             pairs.extend((gen_of(l), gen_of(l)) for l in s)
-    return pairs
-
-
-def letters(w: Word) -> IdSet:
-    """Support of w as a compact id set; letters(e) is empty."""
-    return IdSet.from_intervals(_id_ranges(w))
-
-
-_SPAN_SHIFT = 32
-_SPAN_MASK = (1 << _SPAN_SHIFT) - 1
-_CHECKED_ONCE = -2  # Word._span of a word supported_in has seen once
-
-
-def _id_span(w: Word) -> int:
-    """``hi << 32 | lo`` for the lowest and highest generator id of w, or -1
-    when w is the identity or lo does not fit in 32 bits.  One int rather
-    than a pair keeps the per-word cache small."""
-    pairs = _id_ranges(w)
-    if not pairs:
-        return -1
-    lo = min(pairs)[0]
-    if lo > _SPAN_MASK:
-        return -1
-    return max(hi for _, hi in pairs) << _SPAN_SHIFT | lo
+    return IdSet.from_intervals(pairs)
 
 
 def supported_in(w: Word, alpha: IdSet) -> bool:
-    span = w._span
-    if span is None:
-        # Most words are checked once, and the scan below, which stops at
-        # the first foreign letter, is the cheaper answer for them; a word
-        # checked again caches its span.
-        w._span = _CHECKED_ONCE
-    else:
-        if span == _CHECKED_ONCE:
-            span = w._span = _id_span(w)
-        # one interval test when the whole span lies in a single interval of alpha
-        if span >= 0 and alpha.contains_range(span & _SPAN_MASK, span >> _SPAN_SHIFT):
-            return True
     for s in w._segs:
         if isinstance(s, Run):
             end = s.start + s.step * (s.count - 1)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -16,9 +17,28 @@ from assgp.chain import (
     serialize,
     word_stream,
 )
-from assgp.nbhd import Budget
-from assgp.poset import DescA, DescAD, DescB, DescC, DescE, Mode, TrivialG, is_extension
-from assgp.words import E, IdSet, multiply, parse_word, single
+from assgp.nbhd import (
+    Budget,
+    cyclic_alphabet_extension,
+    enrich,
+    identity_extension,
+    make_base,
+    pad_system,
+    trivial_system,
+)
+from assgp.poset import (
+    DescA,
+    DescAD,
+    DescB,
+    DescC,
+    DescE,
+    Condition,
+    ExtensionReport,
+    Mode,
+    TrivialG,
+    is_extension,
+)
+from assgp.words import E, IdSet, multiply, parse_word, single, supported_in
 
 BUD = Budget(leaf_len=6, exp=2, nodes=120)
 a, b = single(0), single(1)
@@ -175,9 +195,15 @@ GOLDEN_ASSGP_120 = {
 }
 
 
+@functools.cache
+def built_chain(preset, steps, seed):
+    """A chain that tests read but do not step; built once per session."""
+    return small_chain(preset, steps, seed)
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_ASSGP_120))
 def test_assgp_120_state_bytes_golden(seed):
-    st = small_chain("assgp", 120, seed)
+    st = built_chain("assgp", 120, seed)
     assert hashlib.sha256(serialize(st)).hexdigest() == GOLDEN_ASSGP_120[seed]
 
 
@@ -189,6 +215,109 @@ def test_full_240_state_bytes_golden():
         hashlib.sha256(serialize(st)).hexdigest()
         == "5da3be13323b3e9d752caedd93ddc7c069eb512bea7aa8a8b39ad20f13abe3da"
     )
+
+
+def test_assgp_240_state_bytes_golden():
+    # 149 conditions, depth 81: the deepest stack of inherited levels
+    st = small_chain("assgp", 240, 0)
+    assert (len(st.chain), st.chain[-1].depth) == (149, 81)
+    assert (
+        hashlib.sha256(serialize(st)).hexdigest()
+        == "817625e28d0774c9afcfcdac910d2283e5d96d9fe856ee2427b310e4dca166f1"
+    )
+
+
+def full_scan_report(q, p, budget):
+    """The oracle for is_extension on a stacked pair: the restriction scan
+    over every level of q, with no level skipped."""
+    assert p.system in q.system.ancestors()
+    rpt = ExtensionReport(
+        alphabet_ok=p.alphabet.issubset(q.alphabet),
+        depth_ok=p.depth <= q.depth,
+        containment_mode="stacked",
+        budget_key=budget.key(),
+    )
+    if not (rpt.alphabet_ok and rpt.depth_ok):
+        return rpt
+    for i in range(p.depth + 1):
+        p_words = p.system.enum_words(i, budget)
+        for w, _ in q.system.enumerate(i, budget):
+            if not supported_in(w, p.alphabet):
+                continue
+            rpt.checked += 1
+            if w in p_words:
+                continue
+            ans = p.system.member(i, w, budget)
+            if ans.is_no:
+                rpt.violations.append((i, str(w), "restriction gains a foreign word"))
+            elif not ans.is_yes:
+                rpt.unknowns += 1
+    return rpt
+
+
+@pytest.mark.parametrize("preset", ["full", "assgp"])
+class TestInheritedLevels:
+    """is_extension skips the levels q inherits from p; these pin the skip
+    to the full scan and check the facts it rests on, over a 120-step
+    chain."""
+
+    def test_reports_match_the_full_scan(self, preset):
+        st = built_chain(preset, 120, 0)
+        for entry in st.step_log:
+            new = entry["new_conditions"]
+            for k, recorded in zip(new, entry["reports"]):
+                bud = Budget(*recorded["budget"])  # a retry doubles the nodes
+                q, p = st.chain[k], st.chain[k - 1]
+                oracle = full_scan_report(q, p, bud).describe()
+                assert recorded == oracle, (entry["descriptor"], k)
+                assert is_extension(q, p, bud).describe() == oracle
+            if len(new) > 1:  # the whole step, over several layers
+                q, p = st.chain[new[-1]], st.chain[new[0] - 1]
+                assert is_extension(q, p, BUD).describe() == full_scan_report(q, p, BUD).describe()
+
+    def test_enumerated_words_lie_in_the_alphabet(self, preset):
+        # axiom (1), on which the skip rests.  The alphabets grow along the
+        # chain, so a word seen at one condition need not be checked again.
+        st = built_chain(preset, 120, 0)
+        seen = set()
+        for p, cond in zip([None] + st.chain, st.chain):
+            assert p is None or p.alphabet.issubset(cond.alphabet)
+            for i in range(cond.depth + 1):
+                for w, _ in cond.system.enumerate(i, BUD):
+                    if w not in seen:
+                        assert supported_in(w, cond.alphabet), (cond, i, w)
+                        seen.add(w)
+
+    def test_inherited_level_is_the_base_level(self, preset):
+        st = built_chain(preset, 120, 0)
+        inherited = 0
+        for layer in st.chain[-1].system.ancestors()[:-1]:
+            for i in range(layer.depth + 1):
+                if layer.inherits(i, BUD):
+                    inherited += 1
+                    got = [w for w, _ in layer.enumerate(i, BUD)]
+                    assert got == [w for w, _ in layer.base.enumerate(i, BUD)], (layer, i)
+        assert inherited
+
+
+def test_skip_matches_the_full_scan_off_the_chain():
+    # built chains never fail a step, so also pin the skip on stacks whose
+    # scan finds something: a foreign word below a pad layer, and levels
+    # that a small node budget makes inherited
+    ab = IdSet.of(0, 1)
+    p = Condition(ab, 2, trivial_system(ab, 2))
+    bad = enrich(p.system, make_base(finite=[E, b, b.inverse()]), ab)
+    q = Condition(ab, 3, pad_system(bad, 3))
+    small = Budget(6, 2, 10)
+    u = cyclic_alphabet_extension(trivial_system(ab, 2), IdSet.of(24))
+    r = Condition(u.alphabet, 2, u)
+    v = identity_extension(u, IdSet.of(25))
+    s = Condition(v.alphabet, 2, v)
+    for hi, lo, bud in [(q, p, BUD), (q, p, small), (s, r, small), (s, r, BUD)]:
+        got = is_extension(hi, lo, bud).describe()
+        assert got == full_scan_report(hi, lo, bud).describe()
+    assert is_extension(q, p, BUD).violations
+    assert v.inherits(0, small) and not v.inherits(v.depth, small)
 
 
 class TestBasisMember:

@@ -398,21 +398,15 @@ class TestSupportedIn:
     @settings(max_examples=200, deadline=None)
     @given(pieces_st, alphabet_st, alphabet_st, st.data())
     def test_matches_support_subset(self, pieces, alpha, beta, data):
-        # the first check scans, later ones go through the cached span
+        # one word against two alphabets in turn: no answer may depend on
+        # an earlier check
         w = _resegment(wd.flatten_letters(_product(pieces)), data)
         for al in (alpha, beta, alpha, beta):
             assert wd.supported_in(w, al) == wd.letters(w).issubset(al)
 
-    def test_span_cached_from_the_second_check(self):
-        w = wd.Word((Run(3, 4, 1, 1), (2,)))  # x[3..6] b: ids 1..6
-        alpha = IdSet.from_range(0, 9)
-        assert wd.supported_in(w, alpha) and w._span == wd._CHECKED_ONCE
-        assert wd.supported_in(w, alpha) and w._span == 6 << 32 | 1
-
     def test_one_word_against_several_alphabets(self):
-        # the cached id span of w is 1..9, its lowest id in the last
-        # segment; each answer must come from the alphabet at hand, not from
-        # an earlier call
+        # w spans ids 1..9, its lowest id in the last segment; each answer
+        # must come from the alphabet at hand, not from an earlier call
         w = wd.Word((Run(9, 2, -1, -1), Run(3, 4, 1, 1), (2,)))  # x[8..9]^-1 x[3..6] b
         cases = [
             (IdSet.from_range(0, 9), True),
