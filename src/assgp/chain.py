@@ -478,7 +478,8 @@ class ChainState:
             pool = sys_.enumerate(n + 1, budget)[: max(2, samples)]
             for (u, urep), (v, vrep) in itertools.product(pool, pool):
                 w = multiply(u, v)
-                rep = Conj(n, E, urep, vrep)
+                left = sys_.lift(n + 1, u, urep, budget)
+                rep = Conj(n, E, left, sys_.lift(n + 1, v, vrep, budget))
                 ok, why = sys_.verify_rep(n, w, rep)
                 if not ok:
                     # systems without conjugation structure (all-{e} levels)
@@ -491,7 +492,7 @@ class ChainState:
 
         for n in range(cond.depth + 1):
             for w, rep in sys_.enumerate(n, budget)[: max(2, samples)]:
-                inv = invert_rep(rep)
+                inv = invert_rep(sys_.lift(n, w, rep, budget))
                 ok, why = sys_.verify_rep(n, w.inverse(), inv)
                 note("symmetry", ok, f"inverse of {w} at level {n}: {why}")
 
@@ -508,7 +509,7 @@ class ChainState:
                 m = n + l
                 pool = sys_.enumerate(m, budget)[: max(2, samples // 2)]
                 for w, wrep in pool:
-                    cur = wrep
+                    cur = sys_.lift(m, w, wrep, budget)
                     level = m
                     for letter_val in reversed(flatten_letters(g)):
                         level -= 1

@@ -293,6 +293,8 @@ class Nsys:
     # -- enumeration ----------------------------------------------------------
 
     def enumerate(self, i: int, budget: Budget = DEFAULT_BUDGET) -> list[tuple[Word, object]]:
+        """Level i's members as (word, certificate) pairs, sorted and cached.
+        An inherited level is the base's list object, certificates included."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         key = (i, budget.key())
@@ -314,12 +316,21 @@ class Nsys:
     def _enumerate(self, i, budget):
         raise NotImplementedError
 
-    def enum_words(self, i: int, budget: Budget = DEFAULT_BUDGET) -> frozenset:
-        """Frozen set of the enumerated words at a level (cached)."""
-        key = ("set", i, budget.key())
-        if key not in self._enum_cache:
-            self._enum_cache[key] = frozenset(w for w, _ in self.enumerate(i, budget))
-        return self._enum_cache[key]
+    def lift(self, i: int, w: Word, rep, budget: Budget = DEFAULT_BUDGET):
+        """This layer's certificate for an item (w, rep) of ``enumerate(i)``:
+        walk down while the base's level-i list is this layer's list, and wrap
+        rep in one ``base`` leaf for each enriched layer passed (a padded
+        layer's levels up to its base's depth take its base's certificates)."""
+        key = (i, budget.key())
+        level = self.enumerate(i, budget)
+        layer = self
+        while isinstance(layer, (EnrichedNsys, PaddedNsys)):
+            if layer.base._enum_cache.get(key) is not level:
+                break
+            if isinstance(layer, EnrichedNsys):
+                rep = Leaf(i, w, "base", rep)
+            layer = layer.base
+        return rep
 
     def _enum_support(self, i: int, budget: Budget) -> IdSet:
         key = ("support", i, budget.key())
@@ -454,13 +465,8 @@ class PaddedNsys(Nsys):
             return _yes(Leaf(i, E, "pad"))
         return _no("padded level is {e}")
 
-    def inherits(self, i: int, budget: Budget) -> bool:
-        """True when level i is the base's level i: padding appends {e}
-        levels past the base's depth and leaves the others as they are."""
-        return i <= self.base.depth
-
     def _enumerate(self, i, budget):
-        if self.inherits(i, budget):
+        if i <= self.base.depth:
             return self.base.enumerate(i, budget)
         return [(E, Leaf(i, E, "pad"))]
 
@@ -494,7 +500,10 @@ class EnrichedNsys(Nsys):
     """B-enrichment of a base system inside a (possibly larger) alphabet.
 
     Level n is U_n ∪ B; level i < n is U_i together with all x·V_{i+1}·V_{i+1}·x⁻¹
-    for x in the ambient alphabet's letters and e.
+    for x in the ambient alphabet's letters and e.  Without exact level sets, a
+    level i < n whose base level enumerates ``budget.nodes`` words is inherited
+    (the conjugation pass could add nothing): :meth:`_enumerate` returns the
+    base's list itself, and :meth:`Nsys.lift` makes its certificates this layer's.
 
     ``bounded_base_size`` is set when this layer is a cyclic fresh-letter or
     {e} enrichment, in which case the letter-count bound over the base
@@ -585,32 +594,21 @@ class EnrichedNsys(Nsys):
                 v = multiply(u.inverse(), wx)
                 vans = self._member(i + 1, v, ctx)
                 if vans.is_yes:
-                    return _yes(Conj(i, x, urep, vans.rep))
+                    return _yes(Conj(i, x, self.lift(i + 1, u, urep, ctx.budget), vans.rep))
         # With a cyclic base present the level is infinite; a failed bounded
         # search is not a refutation.
         return _unknown("bounded search found no certificate")
 
     # -- enumeration -----------------------------------------------------------
 
-    def inherits(self, i: int, budget: Budget) -> bool:
-        """True when the enumeration of level i is the base's, word for word:
-        below the deepest level, with no exact level sets, a base level that
-        already holds ``budget.nodes`` words leaves the conjugation pass of
-        :meth:`_enumerate` nothing to add."""
-        return (
-            i < self.depth
-            and self.exact_levels() is None
-            and len(self.base.enumerate(i, budget)) >= budget.nodes
-        )
-
     def _enumerate(self, i, budget):
-        # base enumerations are sorted and free of repeats already
-        if self.inherits(i, budget):
-            return [(w, Leaf(i, w, "base", r)) for w, r in self.base.enumerate(i, budget)]
         exact = self.exact_levels()
         if exact is not None:
             return sorted(exact[i].items(), key=lambda kv: word_key(kv[0]))
-        items = {w: Leaf(i, w, "base", r) for w, r in self.base.enumerate(i, budget)}
+        base = self.base.enumerate(i, budget)
+        if i < self.depth and len(base) >= budget.nodes:
+            return base
+        items = {w: Leaf(i, w, "base", r) for w, r in base}
         if i == self.depth:
             for w in self.extra.enumerate(budget):
                 items.setdefault(w, Leaf(i, w, "extra"))
@@ -627,22 +625,23 @@ class EnrichedNsys(Nsys):
             lo = max(0, rank - m + 1)
             for iu in range(lo, min(rank, m - 1) + 1):
                 iv = rank - iu
-                u, urep = inner[iu]
-                v, vrep = inner[iv]
-                prod = multiply(u, v)
-                uv.setdefault(prod, (urep, vrep))
+                (u, _), (v, _) = inner[iu], inner[iv]
+                uv.setdefault(multiply(u, v), (iu, iv))
                 pairs_seen += 1
                 if len(uv) >= budget.nodes or pairs_seen >= pair_cap:
                     break
         # Interleave conjugators across products so the cap cannot starve any
         # single x of coverage.
         conjs = [(x, x.inverse()) for x in _conjugators(self.alphabet)]
-        for prod, (urep, vrep) in uv.items():
+        for prod, pair in uv.items():
             if len(items) >= budget.nodes:
                 break
+            lifted = None  # the pair's certificates, lifted at its first insert
             for x, xi in conjs:
                 w = multiply(multiply(x, prod), xi)
-                items.setdefault(w, Conj(i, x, urep, vrep))
+                if w not in items:
+                    lifted = lifted or [self.lift(i + 1, *inner[k], budget) for k in pair]
+                    items[w] = Conj(i, x, *lifted)
                 if len(items) >= budget.nodes:
                     break
         return sorted(items.items(), key=lambda kv: word_key(kv[0]))

@@ -188,14 +188,13 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
     supported in p's alphabet, and demands membership in p's level; an exact
     refusal is a violation with a concrete witness word.
 
-    When q is stacked on p and every layer between them inherits level i
-    (``inherits``), q's enumeration of level i is p's, word for word.  Each
-    of those words is then in p's level and, by axiom (1), in F(X_p), so
-    the scan would count all of them and find nothing: the level adds its
-    size to ``checked`` and is skipped.
+    A level of q that is p's list object (an inherited level, see
+    ``Nsys.enumerate``) holds exactly p's words.  Each of them is in p's
+    level and, by axiom (1), in F(X_p), so the scan would count all of
+    them and find nothing: the level adds its size to ``checked`` and is
+    skipped.
     """
-    layers = q.system.ancestors()
-    stacked = p.system in layers
+    stacked = p.system in q.system.ancestors()
     rpt = ExtensionReport(
         alphabet_ok=p.alphabet.issubset(q.alphabet),
         depth_ok=p.depth <= q.depth,
@@ -208,7 +207,7 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
 
     if not stacked:
         for i in range(p.depth + 1):
-            q_words = q.system.enum_words(i, budget)
+            q_words = {w for w, _ in q.system.enumerate(i, budget)}
             for w, _ in p.system.enumerate(i, budget):
                 rpt.checked += 1
                 if w in q_words:
@@ -219,13 +218,14 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
                 elif not ans.is_yes:
                     rpt.unknowns += 1
 
-    between = layers[: layers.index(p.system)] if stacked else None
     for i in range(p.depth + 1):
-        if between is not None and all(layer.inherits(i, budget) for layer in between):
-            rpt.checked += len(p.system.enumerate(i, budget))
+        q_level = q.system.enumerate(i, budget)
+        p_level = p.system.enumerate(i, budget)
+        if q_level is p_level:
+            rpt.checked += len(p_level)
             continue
-        p_words = p.system.enum_words(i, budget)
-        for w, _ in q.system.enumerate(i, budget):
+        p_words = {w for w, _ in p_level}
+        for w, _ in q_level:
             if not supported_in(w, p.alphabet):
                 continue
             rpt.checked += 1

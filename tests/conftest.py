@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from assgp import nbhd
 from assgp import words as wd
 
 
@@ -46,3 +48,21 @@ def rng():
 
 
 W = wd.parse_word
+
+
+SHARED_BUDGET = nbhd.Budget(leaf_len=6, exp=1, nodes=30)
+
+
+def shared_level_stack():
+    """⟨y⟩-extension (y = id 24) of an explicit depth-2 system over a, b
+    whose level 1 holds every reduced word of length <= 3 but a·b and its
+    inverse (51 words, at least SHARED_BUDGET.nodes) and whose levels 0 and
+    2 are {e}.  At SHARED_BUDGET the extension's level 1 is the base's list
+    and its level 0 is built from it, so the conjugation nodes of level 0
+    hold lifted certificates."""
+    letters = (1, -1, 2, -2)  # a, a^-1, b, b^-1
+    words = {wd.reduce(list(t)) for n in range(4) for t in itertools.product(letters, repeat=n)}
+    ab = wd.parse_word("a b")
+    level1 = words - {ab, ab.inverse()}
+    base = nbhd.explicit_system(wd.IdSet.of(0, 1), [[wd.E], level1, [wd.E]])
+    return nbhd.cyclic_alphabet_extension(base, wd.IdSet.of(24))

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import sys
 
 import pytest
 
@@ -19,6 +20,10 @@ from assgp.chain import (
 )
 from assgp.nbhd import (
     Budget,
+    EnrichedNsys,
+    Leaf,
+    MembershipAnswer,
+    PaddedNsys,
     cyclic_alphabet_extension,
     enrich,
     identity_extension,
@@ -39,6 +44,8 @@ from assgp.poset import (
     is_extension,
 )
 from assgp.words import E, IdSet, multiply, parse_word, single, supported_in
+
+from conftest import SHARED_BUDGET, shared_level_stack
 
 BUD = Budget(leaf_len=6, exp=2, nodes=120)
 a, b = single(0), single(1)
@@ -218,13 +225,32 @@ def test_full_240_state_bytes_golden():
 
 
 def test_assgp_240_state_bytes_golden():
-    # 149 conditions, depth 81: the deepest stack of inherited levels
+    # 149 conditions, depth 81
     st = small_chain("assgp", 240, 0)
     assert (len(st.chain), st.chain[-1].depth) == (149, 81)
     assert (
         hashlib.sha256(serialize(st)).hexdigest()
         == "817625e28d0774c9afcfcdac910d2283e5d96d9fe856ee2427b310e4dca166f1"
     )
+
+
+def test_full_1000_state_bytes_golden():
+    # 582 conditions, depth 201: the deepest stack of inherited levels.  The
+    # reloaded state re-verifies its certificates at the default limit.
+    st = small_chain("full", 1000, 0)
+    assert (len(st.chain), st.chain[-1].depth) == (582, 201)
+    data = serialize(st)
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "af1c34615e4fdb285c0ee69b87e26ebe3d6e3e482ad1d2644c5e008f43fec784"
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        bad = deserialize(data).verify_certificates()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bad == []
 
 
 def full_scan_report(q, p, budget):
@@ -240,7 +266,7 @@ def full_scan_report(q, p, budget):
     if not (rpt.alphabet_ok and rpt.depth_ok):
         return rpt
     for i in range(p.depth + 1):
-        p_words = p.system.enum_words(i, budget)
+        p_words = {w for w, _ in p.system.enumerate(i, budget)}
         for w, _ in q.system.enumerate(i, budget):
             if not supported_in(w, p.alphabet):
                 continue
@@ -253,6 +279,31 @@ def full_scan_report(q, p, budget):
             elif not ans.is_yes:
                 rpt.unknowns += 1
     return rpt
+
+
+def inherits_by_rule(layer, i, budget):
+    """A pad layer inherits the levels up to its base's depth; an enrich
+    layer those below its depth whose base level holds `nodes` words, when
+    it has no exact level sets."""
+    if isinstance(layer, PaddedNsys):
+        return i <= layer.base.depth
+    return (
+        i < layer.depth
+        and layer.exact_levels() is None
+        and len(layer.base.enumerate(i, budget)) >= budget.nodes
+    )
+
+
+def eager_copy(system, i, budget):
+    """Walk down the layers that inherit level i by the rule, to the layer
+    that built the list.  Returns that layer and the number of base leaves
+    that the layers' own copies of the level used to put around each of
+    its certificates: one per enrich layer passed."""
+    wraps, layer = 0, system
+    while isinstance(layer, (PaddedNsys, EnrichedNsys)) and inherits_by_rule(layer, i, budget):
+        wraps += isinstance(layer, EnrichedNsys)
+        layer = layer.base
+    return wraps, layer
 
 
 @pytest.mark.parametrize("preset", ["full", "assgp"])
@@ -293,11 +344,36 @@ class TestInheritedLevels:
         inherited = 0
         for layer in st.chain[-1].system.ancestors()[:-1]:
             for i in range(layer.depth + 1):
-                if layer.inherits(i, BUD):
-                    inherited += 1
-                    got = [w for w, _ in layer.enumerate(i, BUD)]
-                    assert got == [w for w, _ in layer.base.enumerate(i, BUD)], (layer, i)
+                level = layer.enumerate(i, BUD)
+                shared = i <= layer.base.depth and level is layer.base.enumerate(i, BUD)
+                assert shared == inherits_by_rule(layer, i, BUD), (layer, i)
+                inherited += shared
         assert inherited
+
+    def test_lifted_certificates_match_the_eager_copy(self, preset):
+        # every item of every level of every condition lifts to the
+        # certificate the eager copies held.  Each list's certificates are
+        # verified once, in the layer that built it, and one lifted
+        # certificate per level in the condition: the base leaves around it
+        # are pinned by the comparison.
+        st = built_chain(preset, 120, 0)
+        verified = set()
+        for cond in st.chain:
+            system = cond.system
+            for i in range(cond.depth + 1):
+                wraps, owner = eager_copy(system, i, BUD)
+                items = system.enumerate(i, BUD)
+                assert items is owner.enumerate(i, BUD)
+                for w, rep in items:
+                    lifted = system.lift(i, w, rep, BUD)
+                    for _ in range(wraps):
+                        rep = Leaf(i, w, "base", rep)
+                    assert lifted == rep, (cond, i, w)
+                assert system.verify_rep(i, w, lifted) == (True, ""), (cond, i, w)
+                if id(items) not in verified:
+                    verified.add(id(items))
+                    for w, rep in items:
+                        assert owner.verify_rep(i, w, rep) == (True, ""), (owner, i, w)
 
 
 def test_skip_matches_the_full_scan_off_the_chain():
@@ -317,7 +393,8 @@ def test_skip_matches_the_full_scan_off_the_chain():
         got = is_extension(hi, lo, bud).describe()
         assert got == full_scan_report(hi, lo, bud).describe()
     assert is_extension(q, p, BUD).violations
-    assert v.inherits(0, small) and not v.inherits(v.depth, small)
+    assert v.enumerate(0, small) is u.enumerate(0, small)
+    assert v.enumerate(v.depth, small) is not u.enumerate(v.depth, small)
 
 
 class TestBasisMember:
@@ -438,6 +515,18 @@ class TestGroupAxioms:
         assert rpt["passed"], [e for e in rpt["entries"] if not e["ok"]][:3]
         kinds = {e["kind"] for e in rpt["entries"]}
         assert {"product", "symmetry", "conjugation"} <= kinds
+
+    def test_certificates_verify_without_the_member_fallback(self, monkeypatch):
+        # a built certificate that fails to verify falls back to a member
+        # search; on a stack whose level 1 is its base's list, every one of
+        # them (lifted from that list) must verify on its own
+        V = shared_level_stack()
+        st = new_chain("t2", Mode("test", 2), SHARED_BUDGET, 0)
+        st.chain.append(Condition(V.alphabet, V.depth, V))
+        monkeypatch.setattr(V, "member", lambda *args: MembershipAnswer("unknown"))
+        rpt = st.check_group_axioms(SHARED_BUDGET, samples=3)
+        assert rpt["passed"], [e for e in rpt["entries"] if not e["ok"]][:3]
+        assert {"product", "symmetry", "conjugation"} <= {e["kind"] for e in rpt["entries"]}
 
 
 class TestSerialization:

@@ -22,7 +22,7 @@ from assgp.nbhd import (
 )
 from assgp.words import E, IdSet, letters, multiply, power, single
 
-from conftest import W
+from conftest import SHARED_BUDGET, W, shared_level_stack
 
 A = IdSet.of(0)
 AB = IdSet.of(0, 1)
@@ -187,13 +187,16 @@ class TestEnumeration:
 class TestEnumerationCap:
     def test_full_base_level_is_the_level(self):
         # U's level 0 already holds `nodes` words, so V's conjugation pass
-        # could add nothing: V enumerates exactly U's words, in U's order
+        # could add nothing: V's level 0 is U's list, and lifting one of its
+        # certificates wraps it in one base leaf
         bud = Budget(6, 2, 10)
         U = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
         base = U.enumerate(0, bud)
         assert len(base) >= bud.nodes
         V = identity_extension(U, IdSet.of(25))
-        assert V.enumerate(0, bud) == [(w, Leaf(0, w, "base", r)) for w, r in base]
+        assert V.enumerate(0, bud) is base
+        for w, r in base:
+            assert V.lift(0, w, r, bud) == Leaf(0, w, "base", r)
         assert (1, bud.key()) not in V._enum_cache
 
     def test_level_below_cap_gains_conjugates(self):
@@ -205,6 +208,28 @@ class TestEnumerationCap:
         assert len(items) > len(base)
         assert any(isinstance(r, Conj) and not r.x.is_identity() for _, r in items)
         assert (1, bud.key()) in V._enum_cache
+
+
+class TestLift:
+    """An inherited level is the base's list; a certificate built from one
+    of its items is lifted into the layer that builds it."""
+
+    def test_level_built_from_a_shared_level_verifies(self):
+        V = shared_level_stack()
+        assert V.enumerate(1, SHARED_BUDGET) is V.base.enumerate(1, SHARED_BUDGET)
+        items = V.enumerate(0, SHARED_BUDGET)
+        assert items is not V.base.enumerate(0, SHARED_BUDGET)
+        assert any(isinstance(r, Conj) for _, r in items)
+        for w, rep in items:
+            assert V.lift(0, w, rep, SHARED_BUDGET) is rep
+            assert V.verify_rep(0, w, rep) == (True, "")
+
+    def test_member_through_a_shared_level_verifies(self):
+        V = shared_level_stack()
+        ab = W("a b")
+        ans = V.member(0, ab, SHARED_BUDGET)
+        assert ans.is_yes and isinstance(ans.rep, Conj)
+        assert V.verify_rep(0, ab, ans.rep) == (True, "")
 
 
 class TestMonotonicity:
