@@ -35,6 +35,7 @@ from .nbhd import (
     Budget,
     Conj,
     DEFAULT_BUDGET,
+    MembershipAnswer,
     NbhdError,
     invert_rep,
     rep_from_obj,
@@ -233,31 +234,18 @@ class Schedule:
         # rotation only shifts which family goes first; indexes stay fair
         return self._streams[fam][stage // fam_count]
 
-    def first_stage_of(self, key: str, limit: int = 4000) -> Optional[int]:
-        for s in range(limit):
-            if self.descriptor(s).key() == key:
-                return s
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Chain state
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BasisAnswer:
-    verdict: str
-    rep: object = None
+@dataclass(frozen=True)
+class BasisAnswer(MembershipAnswer):
+    """A chain membership answer; ``stage`` indexes the condition that
+    certifies a yes."""
+
     stage: Optional[int] = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.verdict == "yes"
-
-    @property
-    def is_no(self) -> bool:
-        return self.verdict == "no"
 
 
 class ChainState:
@@ -375,27 +363,32 @@ class ChainState:
     def basis_member(self, n: int, w: Word, budget: Optional[Budget] = None) -> BasisAnswer:
         """Is w in the chain's n-th basic neighbourhood (so far)?
 
-        Yes once any condition deep enough certifies it; the verdict can only
-        improve as the chain grows.  No only when every condition deep enough
-        refutes w, so unknown while no condition reaches level n."""
+        Yes once any condition deep enough certifies it, naming the latest
+        such stage; the verdict can only improve as the chain grows.  No only
+        when every condition deep enough refutes w, so unknown while no
+        condition reaches level n.  The answer depends only on (chain, n, w,
+        budget): the stages share one map of yes/no answers, made afresh for
+        each call."""
         budget = budget or self.budget
+        answers: dict = {}
         verdicts = set()
         for idx in range(len(self.chain) - 1, -1, -1):
             cond = self.chain[idx]
             if cond.depth < n:
                 continue
-            ans = cond.system.member(n, w, budget)
+            ans = cond.system.member(n, w, budget, answers)
             if ans.is_yes:
-                return BasisAnswer("yes", ans.rep, idx)
+                return BasisAnswer(verdict="yes", rep=ans.rep, stage=idx)
             verdicts.add(ans.verdict)
-        return BasisAnswer("no" if verdicts == {"no"} else "unknown")
+        return BasisAnswer(verdict="no" if verdicts == {"no"} else "unknown")
 
     def separation_index(self, g: Word, budget: Optional[Budget] = None) -> tuple[int, int]:
         """Find a stage whose deepest level exactly excludes g.
 
         The stage-local exclusion is exact; the global claim that g stays out
         of the chain's basic neighbourhood additionally rests on the per-step
-        extension reports, which the step log records."""
+        extension reports, which the step log records.  Each stage is asked
+        on its own, so the stage named refutes g on a fresh ``member`` call."""
         if g.is_identity():
             raise TrivialG("the identity is never separated")
         budget = budget or self.budget

@@ -27,6 +27,10 @@ uses letters outside the alphabet, a letter-count bound excludes it, the
 level is a literal {e}, or the whole system expands to small finite sets.
 Everything else is ``unknown``: once a cyclic base is present the level sets
 are infinite and bounded search cannot refute.
+
+An answer depends only on (system, level, word, budget).  Systems keep no
+verdicts between searches; a search remembers what it has decided only for
+the query that started it (see :meth:`Nsys.member`).
 """
 
 from __future__ import annotations
@@ -258,16 +262,24 @@ def _conjugators(ids: IdSet) -> list[Word]:
 
 
 class _SearchCtx:
-    __slots__ = ("budget", "nodes_left", "memo")
+    """One ``member`` search: its node budget, the unknowns it has met, and
+    the yes/no answers of the query it belongs to, keyed by (layer, level,
+    word)."""
 
-    def __init__(self, budget: Budget):
+    __slots__ = ("budget", "nodes_left", "memo", "answers")
+
+    def __init__(self, budget: Budget, answers: dict):
         self.budget = budget
         self.nodes_left = budget.nodes
         self.memo: dict = {}
+        self.answers = answers
 
 
 class Nsys:
-    """Abstract finite neighbourhood system.  Immutable; compared by identity."""
+    """Abstract finite neighbourhood system.  Immutable; compared by identity.
+
+    A layer keeps only what its levels determine: the enumeration lists,
+    which depend on (level, budget), and the exact level sets."""
 
     alphabet: IdSet
     depth: int
@@ -276,16 +288,24 @@ class Nsys:
         self.alphabet = alphabet
         self.depth = depth
         self._enum_cache: dict = {}
-        self._yes_cache: dict = {}
-        self._no_cache: dict = {}
         self._exact: object = _UNSET
 
     # -- membership ---------------------------------------------------------
 
-    def member(self, i: int, w: Word, budget: Budget = DEFAULT_BUDGET) -> MembershipAnswer:
+    def member(
+        self, i: int, w: Word, budget: Budget = DEFAULT_BUDGET, answers: Optional[dict] = None
+    ) -> MembershipAnswer:
+        """Is w in level i?  The answer depends only on (system, i, w, budget).
+
+        ``answers`` is the yes/no map of a query that asks several systems of
+        one stacked chain at one budget: ``ChainState.basis_member`` passes
+        one map to every stage it asks, so a stage reuses what the stages
+        before it decided on the layers they share, and the query's answer
+        depends only on (chain, i, w, budget).  Left out, the map starts
+        empty."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
-        return self._member(i, w, _SearchCtx(budget))
+        return self._member(i, w, _SearchCtx(budget, {} if answers is None else answers))
 
     def _member(self, i: int, w: Word, ctx: _SearchCtx) -> MembershipAnswer:
         raise NotImplementedError
@@ -532,18 +552,14 @@ class EnrichedNsys(Nsys):
     # -- membership ----------------------------------------------------------
 
     def _member(self, i, w, ctx):
-        if (i, w) in self._yes_cache:
-            return _yes(self._yes_cache[(i, w)])
-        if (i, w) in self._no_cache:
-            return _no(self._no_cache[(i, w)])
         key = (id(self), i, w)
+        if key in ctx.answers:
+            return ctx.answers[key]
         if key in ctx.memo:
             return ctx.memo[key]
         ans = self._member_inner(i, w, ctx)
-        if ans.is_yes:
-            self._yes_cache[(i, w)] = ans.rep
-        elif ans.is_no:
-            self._no_cache[(i, w)] = ans.reason
+        if ans.is_yes or ans.is_no:
+            ctx.answers[key] = ans
         else:
             ctx.memo[key] = ans
         return ans
