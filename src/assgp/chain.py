@@ -67,6 +67,7 @@ from .words import (
     Word,
     WordError,
     flatten_letters,
+    gen_of,
     letters,
     multiply,
     parse_word,
@@ -75,7 +76,7 @@ from .words import (
 )
 
 FORMAT_NAME = "assgp-chain"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 PRESETS = ("t2", "assgp", "simple", "full")
 
@@ -506,7 +507,7 @@ class ChainState:
                     level = m
                     for letter_val in reversed(flatten_letters(g)):
                         level -= 1
-                        x = Word(((letter_val,),))
+                        x = single(gen_of(letter_val), 1 if letter_val > 0 else -1)
                         cur = Conj(level, x, cur, sys_.identity_rep(level + 1))
                     target = multiply(multiply(g, w), g.inverse())
                     ok, why = sys_.verify_rep(n, target, cur)
@@ -553,7 +554,9 @@ class ChainState:
     def from_obj(obj: dict) -> "ChainState":
         if not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME:
             raise FormatError("not a chain state file")
-        if obj.get("version") != FORMAT_VERSION:
+        # version 1 has the same word grammar; only some words were spelled
+        # differently before each word had one segmentation
+        if obj.get("version") not in (1, FORMAT_VERSION):
             raise FormatError(f"unsupported version {obj.get('version')!r}")
         try:
             cfg = obj["config"]

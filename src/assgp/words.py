@@ -7,16 +7,18 @@ to zero.
 
 A :class:`Word` stores its (freely reduced) letter sequence as a short list
 of segments.  A segment is either an explicit tuple of letters or a
-:class:`Run`: ``count`` consecutive generator ids starting at ``start``,
-walked in one direction, all with the same sign.  Runs are what make words
-such as ``x0·x1·...·x{2^32-1}`` representable: every operation below works on
-segment descriptors and never expands a run, so multiplication, inversion and
-equality cost time proportional to the number of segments, not letters.
-Lengths are plain Python ints and may be astronomically large.
+:class:`Run`: the signed letters ``first, first + 1, ...``, that is a block
+``x_i·x_{i+1}·...·x_j`` of ascending generator ids or its inverse.  Runs are
+what make words such as ``x0·x1·...·x{2^32-1}`` representable: every
+operation below works on segment descriptors and never expands a run, so
+multiplication, inversion and equality cost time proportional to the number
+of segments, not letters.  Lengths are plain Python ints and may be
+astronomically large.
 
-Words are immutable and hashable; equality compares the underlying letter
-sequences (two differently segmented words that spell the same letters are
-equal).
+Each word has exactly one segmentation: every maximal stretch of at least
+``RUN_MIN`` letters ``a, a + 1, a + 2, ...`` is one Run, and the letters
+between runs form one explicit tuple.  So words are immutable and hashable,
+and two words are equal exactly when their segments are.
 """
 
 from __future__ import annotations
@@ -185,101 +187,149 @@ _EMPTY_IDSET = IdSet(())
 # Segments
 # ---------------------------------------------------------------------------
 
+#: A maximal stretch of at least this many letters is stored as one Run.
+RUN_MIN = 3
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Run:
-    """``count`` letters over consecutive generator ids, one shared sign.
+    """The ``count`` signed letters ``first, first + 1, ...``.
 
-    Position ``t`` (0-based) holds generator ``start + step*t`` with sign
-    ``sign``.  All ids in a run are distinct, so a run is always reduced.
-    Runs of fewer than 2 letters are stored as explicit tuples instead.
+    That is ``x_i·x_{i+1}·...·x_j`` (``first > 0``) or its inverse
+    (``first < 0``).  A letter ``b`` follows ``a`` inside a run only when
+    ``b == a + 1``; such letters never cancel, and the maximal stretches of a
+    letter sequence never overlap.  A canonical word stores each maximal
+    stretch of at least ``RUN_MIN`` letters as one run, so ``count >=
+    RUN_MIN``.
     """
 
-    start: int
+    first: Letter
     count: int
-    step: int  # +1 ascending, -1 descending
-    sign: int
 
-    def letter_at(self, t: int) -> Letter:
-        return self.sign * (self.start + self.step * t + 1)
+    @property
+    def last(self) -> Letter:
+        return self.first + self.count - 1
+
+    def ids(self) -> tuple[int, int]:
+        """The lowest and the highest generator id of the run."""
+        a, b = gen_of(self.first), gen_of(self.last)
+        return min(a, b), max(a, b)
 
 
 def _seg_len(seg) -> int:
-    return seg.count if isinstance(seg, Run) else len(seg)
+    return seg.count if type(seg) is Run else len(seg)
 
 
 def _seg_first(seg) -> Letter:
-    return seg.letter_at(0) if isinstance(seg, Run) else seg[0]
+    return seg.first if type(seg) is Run else seg[0]
 
 
 def _seg_last(seg) -> Letter:
-    return seg.letter_at(seg.count - 1) if isinstance(seg, Run) else seg[-1]
+    return seg.last if type(seg) is Run else seg[-1]
 
 
-def _mk_run(start: int, count: int, step: int, sign: int):
-    """Run constructor that demotes short runs to explicit tuples."""
-    if count <= 0:
-        return ()
-    if count == 1:
-        return (sign * (start + 1),)
-    if step == -1 and start - (count - 1) < 0:
-        raise ValueError("run walks below generator id 0")
-    return Run(start, count, step, sign)
+def _letter_at(seg, t: int) -> Letter:
+    return seg.first + t if type(seg) is Run else seg[t]
+
+
+def _mk_run(first: Letter, count: int):
+    """The segment of the stretch ``first, first + 1, ...`` of ``count``
+    letters: a Run from ``RUN_MIN`` letters on, explicit letters below."""
+    if count >= RUN_MIN:
+        return Run(first, count)
+    return tuple(range(first, first + count))
 
 
 def _seg_inv(seg):
-    if isinstance(seg, Run):
-        end = seg.start + seg.step * (seg.count - 1)
-        return Run(end, seg.count, -seg.step, -seg.sign)
+    if type(seg) is Run:
+        return Run(-seg.last, seg.count)
     return tuple(-l for l in reversed(seg))
 
 
 def _seg_drop_front(seg, m: int):
-    if m <= 0:
-        return seg
-    if isinstance(seg, Run):
-        return _mk_run(seg.start + seg.step * m, seg.count - m, seg.step, seg.sign)
+    if type(seg) is Run:
+        return _mk_run(seg.first + m, seg.count - m)
     return seg[m:]
 
 
 def _seg_drop_back(seg, m: int):
-    if m <= 0:
-        return seg
-    if isinstance(seg, Run):
-        return _mk_run(seg.start, seg.count - m, seg.step, seg.sign)
+    if type(seg) is Run:
+        return _mk_run(seg.first, seg.count - m)
     return seg[: len(seg) - m]
 
 
-def _seg_take_front(seg, m: int):
-    if isinstance(seg, Run):
-        return _mk_run(seg.start, m, seg.step, seg.sign)
-    return seg[:m]
+def _put(out: list, seg) -> None:
+    """Append a non-empty segment; explicit letters join explicit letters."""
+    if type(seg) is tuple and out and type(out[-1]) is tuple:
+        out[-1] += seg
+    else:
+        out.append(seg)
 
 
 def _glue(segs) -> tuple:
-    """Merge adjacent compatible segments; drops empties.
+    """The canonical segments of the concatenation of ``segs``.
 
-    Assumes the flattened sequence is already freely reduced.
+    Each of ``segs`` is a Run or a tuple that holds no stretch of ``RUN_MIN``
+    letters, and the concatenation is freely reduced.  Only the stretch that
+    crosses a junction is rebuilt.
     """
     out: list = []
     for s in segs:
-        if _seg_len(s) == 0:
+        if type(s) is Run:
+            first = s.first
+        elif s:
+            first = s[0]
+        else:
             continue
-        if out:
-            t = out[-1]
-            if isinstance(t, tuple) and isinstance(s, tuple):
+        if not out:
+            out.append(s)
+            continue
+        t = out[-1]
+        if first != _seg_last(t) + 1:
+            if type(s) is tuple and type(t) is tuple:
                 out[-1] = t + s
-                continue
-            if (
-                isinstance(t, Run)
-                and isinstance(s, Run)
-                and t.sign == s.sign
-                and t.step == s.step
-                and s.start == t.start + t.step * t.count
-            ):
-                out[-1] = Run(t.start, t.count + s.count, t.step, t.sign)
-                continue
-        out.append(s)
+            else:
+                out.append(s)
+            continue
+        # t[i:] and s[:j] are the two halves of the stretch across the junction
+        out.pop()
+        i = 0
+        if type(t) is tuple:
+            i = len(t) - 1
+            while i and t[i - 1] + 1 == t[i]:
+                i -= 1
+            if i:
+                out.append(t[:i])
+        j = _seg_len(s)
+        if type(s) is tuple:
+            j = 1
+            while j < len(s) and s[j - 1] + 1 == s[j]:
+                j += 1
+        _put(out, _mk_run(_letter_at(t, i), _seg_len(t) - i + j))
+        if j < _seg_len(s):
+            _put(out, s[j:])
+    return tuple(out)
+
+
+def _segment(seq: list) -> tuple:
+    """The canonical segments of an explicit, freely reduced letter list."""
+    out: list = []
+    loose: list = []  # explicit letters since the last run
+    i, n = 0, len(seq)
+    while i < n:
+        j = i + 1
+        while j < n and seq[j - 1] + 1 == seq[j]:
+            j += 1
+        if j - i >= RUN_MIN:
+            if loose:
+                out.append(tuple(loose))
+                loose = []
+            out.append(Run(seq[i], j - i))
+        else:
+            loose.extend(seq[i:j])
+        i = j
+    if loose:
+        out.append(tuple(loose))
     return tuple(out)
 
 
@@ -292,7 +342,9 @@ class Word:
     __slots__ = ("_segs", "_length", "_hash", "_text")
 
     def __init__(self, segs: tuple):
-        # Internal constructor: segs must denote a freely reduced sequence.
+        """Internal constructor: ``segs`` must be the canonical segments of a
+        freely reduced letter sequence (see the module docstring).  Build
+        words with the public constructors instead."""
         self._segs = segs
         total = 0
         for s in segs:
@@ -328,6 +380,7 @@ class Word:
         return multiply(self, other)
 
     def inverse(self) -> "Word":
+        # inverting keeps every stretch a stretch, so the form stays canonical
         return Word(tuple(_seg_inv(s) for s in reversed(self._segs)))
 
     def __pow__(self, k: int) -> "Word":
@@ -335,29 +388,9 @@ class Word:
 
     # -- structural queries ---------------------------------------------------
 
-    def _edge_letters(self, k: int) -> tuple:
-        front: list[int] = []
-        for s in self._segs:
-            n = min(_seg_len(s), k - len(front))
-            for t in range(n):
-                front.append(s.letter_at(t) if isinstance(s, Run) else s[t])
-            if len(front) >= k:
-                break
-        back: list[int] = []
-        for s in reversed(self._segs):
-            n = min(_seg_len(s), k - len(back))
-            ln = _seg_len(s)
-            for t in range(n):
-                idx = ln - 1 - t
-                back.append(s.letter_at(idx) if isinstance(s, Run) else s[idx])
-            if len(back) >= k:
-                break
-        return tuple(front), tuple(back)
-
     def __hash__(self) -> int:
         if self._hash is None:
-            front, back = self._edge_letters(8)
-            self._hash = hash((self._length, front, back))
+            self._hash = hash(self._segs)
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -365,13 +398,7 @@ class Word:
             return True
         if not isinstance(other, Word):
             return NotImplemented
-        if self._length != other._length:
-            return False
-        if self._segs == other._segs:
-            return True
-        if self._hash is not None and other._hash is not None and self._hash != other._hash:
-            return False
-        return _segs_equal(self._segs, other._segs)
+        return self._length == other._length and self._segs == other._segs
 
     def __str__(self) -> str:
         if self._text is None:
@@ -383,60 +410,6 @@ class Word:
 
 
 E = Word(())
-
-
-def _segs_equal(a_segs: tuple, b_segs: tuple, copies: int = 1) -> bool:
-    """Do ``a_segs`` spell the letters of ``b_segs`` repeated ``copies`` times?
-
-    Walks both segment lists in lockstep, ``b_segs`` cyclically, and stops at
-    the first mismatch; the repeat is never built.  For ``copies > 1`` the
-    letters of ``b_segs`` must concatenate with themselves (a cyclically
-    reduced word), so that the repeat is segment-wise concatenation.
-    """
-    na, nb = len(a_segs), len(b_segs)
-    ia = ib = 0
-    offa = offb = 0
-    while ia < na and copies:
-        sa, sb = a_segs[ia], b_segs[ib]
-        la = sa.count if type(sa) is Run else len(sa)
-        lb = sb.count if type(sb) is Run else len(sb)
-        ra = la - offa
-        rb = lb - offb
-        m = min(ra, rb)
-        if isinstance(sa, Run) and isinstance(sb, Run):
-            if m >= 2:
-                if (
-                    sa.sign != sb.sign
-                    or sa.step != sb.step
-                    or sa.start + sa.step * offa != sb.start + sb.step * offb
-                ):
-                    return False
-            else:
-                if sa.letter_at(offa) != sb.letter_at(offb):
-                    return False
-        elif isinstance(sa, Run):
-            for t in range(m):
-                if sa.letter_at(offa + t) != sb[offb + t]:
-                    return False
-        elif isinstance(sb, Run):
-            for t in range(m):
-                if sa[offa + t] != sb.letter_at(offb + t):
-                    return False
-        else:
-            if sa[offa : offa + m] != sb[offb : offb + m]:
-                return False
-        offa += m
-        offb += m
-        if offa == la:
-            ia += 1
-            offa = 0
-        if offb == lb:
-            ib += 1
-            offb = 0
-            if ib == nb:
-                ib = 0
-                copies -= 1
-    return ia == na and not copies
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +429,7 @@ def reduce(raw: Iterable[Letter]) -> Word:
             stack.append(l)
     if not stack:
         return E
-    return Word((tuple(stack),))
+    return Word(_segment(stack))
 
 
 def single(gen: GeneratorId, sign: int = 1) -> Word:
@@ -467,11 +440,11 @@ def single(gen: GeneratorId, sign: int = 1) -> Word:
 def fresh_run(start: GeneratorId, k: int) -> Word:
     """The word ``x_start · x_{start+1} · ... · x_{start+k-1}``.
 
-    Stored as one segment regardless of k.
+    One Run from ``RUN_MIN`` letters on, whatever k is.
     """
     if k < 1:
         raise ValueError(f"fresh_run needs k >= 1, got {k}")
-    return Word((_mk_run(start, k, 1, 1),))
+    return Word((_mk_run(letter(start), k),))
 
 
 def multiply(v: Word, w: Word) -> Word:
@@ -498,33 +471,24 @@ def _junction(left: list, right: list) -> tuple[list, list, int]:
         if _seg_last(a) != -_seg_first(b):
             break
         la, lb = _seg_len(a), _seg_len(b)
-        if isinstance(a, Run) and isinstance(b, Run):
-            # Signs already opposite (checked above).  Further letters keep
-            # cancelling only if the gen sequences mirror: step_b == -step_a.
-            m = min(la, lb) if b.step == -a.step else 1
-        elif isinstance(a, tuple) and isinstance(b, tuple):
-            m = 1
-            while m < min(la, lb) and a[la - 1 - m] == -b[m]:
-                m += 1
+        if type(a) is Run and type(b) is Run:
+            # b starts with the inverse of a's last stretch, letter for letter
+            m = min(la, lb)
         else:
             m = 1
-            while m < min(la, lb):
-                x = a.letter_at(la - 1 - m) if isinstance(a, Run) else a[la - 1 - m]
-                y = b.letter_at(m) if isinstance(b, Run) else b[m]
-                if x != -y:
-                    break
+            while m < min(la, lb) and _letter_at(a, la - 1 - m) == -_letter_at(b, m):
                 m += 1
         cancelled += m
         a2 = _seg_drop_back(a, m)
         b2 = _seg_drop_front(b, m)
         left.pop()
-        if _seg_len(a2):
+        if a2:
             left.append(a2)
-        if _seg_len(b2):
+        if b2:
             right[ri] = b2
         else:
             ri += 1
-        if _seg_len(a2) and _seg_len(b2):
+        if a2 and b2:
             break  # boundary letters no longer inverse
     return left, right[ri:], cancelled
 
@@ -562,9 +526,8 @@ def letters(w: Word) -> IdSet:
     """Support of w as a compact id set; letters(e) is empty."""
     pairs = []
     for s in w._segs:
-        if isinstance(s, Run):
-            end = s.start + s.step * (s.count - 1)
-            pairs.append((min(s.start, end), max(s.start, end)))
+        if type(s) is Run:
+            pairs.append(s.ids())
         else:
             pairs.extend((gen_of(l), gen_of(l)) for l in s)
     return IdSet.from_intervals(pairs)
@@ -572,13 +535,11 @@ def letters(w: Word) -> IdSet:
 
 def supported_in(w: Word, alpha: IdSet) -> bool:
     for s in w._segs:
-        if isinstance(s, Run):
-            end = s.start + s.step * (s.count - 1)
-            if not alpha.contains_range(min(s.start, end), max(s.start, end)):
+        if type(s) is Run:
+            if not alpha.contains_range(*s.ids()):
                 return False
-        else:
-            if any(gen_of(l) not in alpha for l in s):
-                return False
+        elif any(gen_of(l) not in alpha for l in s):
+            return False
     return True
 
 
@@ -601,7 +562,7 @@ def split_at(w: Word, i: int) -> tuple[Word, Word]:
             if rest == 0:
                 return Word(tuple(head)), Word(segs[idx + 1 :])
         else:
-            head.append(_seg_take_front(s, rest))
+            head.append(_seg_drop_back(s, n - rest))
             tail = (_seg_drop_front(s, rest),) + segs[idx + 1 :]
             return Word(_glue(head)), Word(_glue(tail))
     raise AssertionError("unreachable")
@@ -658,7 +619,11 @@ def cyclic_member(w: Word, c: Word) -> Optional[int]:
         base, k = core.inverse(), -q
     else:
         return None
-    return k if _segs_equal(mid._segs, base._segs, q) else None
+    # mid is base^q exactly when it starts with base and has period |base|
+    head, rest = split_at(mid, base.length)
+    if head != base or rest != subword(mid, 0, rest.length):
+        return None
+    return k
 
 
 def flatten_letters(w: Word, cap: int = MATERIALIZE_CAP) -> list[Letter]:
@@ -667,15 +632,16 @@ def flatten_letters(w: Word, cap: int = MATERIALIZE_CAP) -> list[Letter]:
         raise WordError(f"word of length {w.length} exceeds materialization cap {cap}")
     out: list[int] = []
     for s in w._segs:
-        if isinstance(s, Run):
-            out.extend(s.letter_at(t) for t in range(s.count))
+        if type(s) is Run:
+            out.extend(range(s.first, s.first + s.count))
         else:
             out.extend(s)
     return out
 
 
 def word_key(w: Word):
-    """Deterministic sort key: length, then text form."""
+    """Deterministic sort key: length, then text form.  Each word has one
+    segmentation and so one text, which makes this a function of the word."""
     return (w.length, str(w))
 
 
@@ -690,7 +656,8 @@ def word_key(w: Word):
 #   t^-1             inverse of token t
 #
 # Tokens are whitespace separated.  ``y[i..j]`` is accepted as an alias for
-# ``x[i..j]``.
+# ``x[i..j]``.  A descending ``x[i..j]`` (i > j) is not a Run and is spelled
+# out letter by letter, so it may hold at most MATERIALIZE_CAP letters.
 
 _TOKEN_RE = re.compile(
     r"^(?:(?P<id>e)|(?P<alpha>[a-z])|x(?P<num>\d+)|[xy]\[(?P<lo>\d+)\.\.(?P<hi>\d+)\])"
@@ -715,9 +682,14 @@ def parse_word(text: str) -> Word:
         else:
             lo, hi = int(m.group("lo")), int(m.group("hi"))
             if lo <= hi:
-                piece = Word((_mk_run(lo, hi - lo + 1, 1, 1),))
+                piece = fresh_run(lo, hi - lo + 1)
+            elif lo - hi + 1 > MATERIALIZE_CAP:
+                raise WordError(
+                    f"bad word token: {tok!r} spells out {lo - hi + 1} letters,"
+                    f" more than the materialization cap {MATERIALIZE_CAP}"
+                )
             else:
-                piece = Word((_mk_run(lo, lo - hi + 1, -1, 1),))
+                piece = reduce(range(lo + 1, hi, -1))
         if m.group("inv"):
             piece = piece.inverse()
         acc = multiply(acc, piece)
@@ -733,13 +705,9 @@ def format_word(w: Word) -> str:
         return "e"
     toks: list[str] = []
     for s in w._segs:
-        if isinstance(s, Run):
-            end = s.start + s.step * (s.count - 1)
-            if s.sign > 0:
-                toks.append(f"x[{s.start}..{end}]")
-            else:
-                # inverse of the reversed positive run
-                toks.append(f"x[{end}..{s.start}]^-1")
+        if type(s) is Run:
+            lo, hi = s.ids()
+            toks.append(f"x[{lo}..{hi}]" if s.first > 0 else f"x[{lo}..{hi}]^-1")
         else:
             for l in s:
                 name = _fmt_gen(gen_of(l))

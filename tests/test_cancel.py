@@ -32,7 +32,7 @@ def setting(k=2, g=a, h=b):
 class TestSetting:
     def test_g0_shape(self):
         st = setting()
-        assert str(st.g0) == "x[2..3] a x[2..3]^-1 b"
+        assert str(st.g0) == "c d a d^-1 c^-1 b"
         assert st.g0.length == 2 * 2 + 1 + 1
 
     def test_empty_h(self):

@@ -1,8 +1,10 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,13 +181,14 @@ class TestChainBuild:
 
 # sha256 of serialize() for the full preset, 45 steps, test:2, budget
 # (6, 2, 120), chain seeds 0-4, as first measured before the build step
-# compared threshold exponents and reused witness reports
+# compared threshold exponents and reused witness reports; re-pinned once
+# for format version 2, which writes each word in its one segmentation
 GOLDEN_FULL_45 = {
-    0: "b779af31360fac52acdbfa220ca503aab8c07c93659bc0ef3177318f3d13ac9b",
-    1: "4b91963faa321d7ead8b0a1118e47cedbdba317681a4f558e1b5b28c8b9ccf1a",
-    2: "68ca7915a1c2d5cd10616f121a637b6c2fd4756731e85249584c0994bf86e211",
-    3: "786d914a13d0ba2ed001f0c361165ae0c637d44d858a81b5e12c7d14d826c6a8",
-    4: "fdaa7fe57faa097660d351fb0c4eea7241aaf064fa6b03a88579f5dbd70a6016",
+    0: "a184ef8daa5832b2c8565dec94c36cdd4f867d604a32fe179adecb45076d1b87",
+    1: "f0e2515b196d010759b2185937fe0a0efe9b8b33d2016d9c0585704af56558a2",
+    2: "b85a2b65382c6a04b4ed3eacacbb8eaa0b33c9d08217f4594028f591d85e0786",
+    3: "d2ecb0ce279fd9ae13f382bb9e4a42057dcdd43a44c112e5e978a39ee6b6bf0a",
+    4: "feb52890a3982cf4d3114d86497a3c558a399716a42bc50e038d10ece2e4b388",
 }
 
 
@@ -198,9 +201,9 @@ def test_full_45_state_bytes_golden(seed):
 # the same for the assgp preset (C, AD, B), 120 steps, chain seeds 0-2, as
 # measured before DescD was folded into DescAD(0, g)
 GOLDEN_ASSGP_120 = {
-    0: "540a483552daf96697f9bc98b404c9c24478c648db36c610013f02c78438784e",
-    1: "c35b38b75719a7044cf0271b6b685411b6a813c08eccdda11dc37930248267c6",
-    2: "f3c7a6bd9739cde4e8c944b8cc8500d2286f3deb85177a9168afccde215d092a",
+    0: "3fb937478f7851c490364fc21053606f71f1c126a56dc8e9f6fc3c1e1852f4f6",
+    1: "174a27b41f2c4b20a4be138c814683a0a6b15fc8a0c5f5b9b028f5d04964ff12",
+    2: "fbe92ad7ae9b9225dd1c6b811577191ee576cde817ff4390c0b89dd67d4286c8",
 }
 
 
@@ -222,7 +225,7 @@ def test_full_240_state_bytes_golden():
     assert (len(st.chain), st.chain[-1].depth) == (136, 49)
     assert (
         hashlib.sha256(serialize(st)).hexdigest()
-        == "5da3be13323b3e9d752caedd93ddc7c069eb512bea7aa8a8b39ad20f13abe3da"
+        == "e2dfdbe9b770c5b41f49c996886f17644ef34323099c97b5bd2597bddf1c332b"
     )
 
 
@@ -232,7 +235,7 @@ def test_assgp_240_state_bytes_golden():
     assert (len(st.chain), st.chain[-1].depth) == (149, 81)
     assert (
         hashlib.sha256(serialize(st)).hexdigest()
-        == "817625e28d0774c9afcfcdac910d2283e5d96d9fe856ee2427b310e4dca166f1"
+        == "227511a6923699aa4d5120af57a38339af0af4c0082be7a283aa1f140680eb84"
     )
 
 
@@ -244,7 +247,7 @@ def test_full_1000_state_bytes_golden():
     data = serialize(st)
     assert (
         hashlib.sha256(data).hexdigest()
-        == "af1c34615e4fdb285c0ee69b87e26ebe3d6e3e482ad1d2644c5e008f43fec784"
+        == "ead295b29ecc9d8f63143b792571be58add3903d8c4eac3dd7b14da56880a9e0"
     )
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -253,6 +256,36 @@ def test_full_1000_state_bytes_golden():
     finally:
         sys.setrecursionlimit(limit)
     assert bad == []
+
+
+# The full-45 seed-3 state as format version 1 wrote it (sha256 786d914a...),
+# when the two-letter fresh runs were spelled x[1..2]; version 2 spells them
+# b c.  The reader still takes it.
+V1_STATE = Path(__file__).resolve().parent / "data" / "full_45_seed3_v1.json"
+
+
+def _separation(st, g):
+    try:
+        return st.separation_index(g)
+    except NotYetSeparated:
+        return "not yet"
+
+
+def test_version_1_state_answers_like_a_fresh_build():
+    data = V1_STATE.read_bytes()
+    assert json.loads(data)["version"] == 1
+    old, new = deserialize(data), small_chain("full", 45, 3)
+    assert json.loads(serialize(new))["version"] == 2
+    assert old.verify_certificates() == []
+    last = new.chain[-1]
+    for n in range(last.depth + 1):
+        for w, _ in last.system.enumerate(n, BUD)[:3]:
+            a, b = old.basis_member(n, w), new.basis_member(n, w)
+            assert (a.verdict, a.stage) == (b.verdict, b.stage), (n, w)
+    for g in ("a", "b a^-1", "c d"):
+        assert _separation(old, W(g)) == _separation(new, W(g))
+    a, b = old.check_group_axioms(), new.check_group_axioms()
+    assert (len(a["entries"]), a["violations"]) == (len(b["entries"]), b["violations"])
 
 
 def full_scan_report(q, p, budget):

@@ -5,7 +5,7 @@ import pytest
 from assgp import chain as ch
 from assgp.cli import EXIT_FAIL, EXIT_NOT_YET, EXIT_OK, EXIT_USAGE, main
 from assgp.poset import Mode
-from assgp.words import parse_word
+from assgp.words import MATERIALIZE_CAP, parse_word
 
 
 def run(argv) -> int:
@@ -120,6 +120,7 @@ class TestQuery:
             ["member", "--word", "zz"],
             ["conj", "--g", "a", "--h", "q!"],
             ["separate", "--g", "e^-1"],
+            ["member", "--word", "x[70000..0]"],
         ],
     )
     def test_bad_word_is_usage_error(self, state, argv, capsys):
@@ -127,6 +128,8 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "bad word token" in err or "inverse marker" in err
         assert "Traceback" not in err
+        if "x[70000..0]" in argv:
+            assert f"materialization cap {MATERIALIZE_CAP}" in err
 
     def test_trivial_g_is_usage_error(self, state, capsys):
         assert query(state, "separate", "--g", "e") == EXIT_USAGE

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and only `words`
+builds a word from raw segments."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,29 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def word_constructor_calls(source: str) -> list[int]:
+    """Lines that call ``Word(...)``, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Word")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Word")
+        )
+    )
+
+
+def test_checker_finds_word_constructor_calls():
+    source = "from .words import Word\nimport assgp.words as wd\nx = Word(())\ny = wd.Word(((1,),))\nz: Word\n"
+    assert word_constructor_calls(source) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "words.py"), ids=lambda p: p.name
+)
+def test_only_words_builds_a_word_from_segments(path):
+    # a Word's segments must be canonical, which only words.py guarantees
+    assert word_constructor_calls(path.read_text()) == []

@@ -207,7 +207,7 @@ class TestConjExtension:
         p = add_letters(initial_condition(), IdSet.of(0, 1))
         r = conj_extension(p, a, b, Mode("test", 2), BUD)
         assert r.cert.is_yes
-        assert str(r.setting.g0) == "x[2..3] a x[2..3]^-1 b"
+        assert str(r.setting.g0) == "c d a d^-1 c^-1 b"
         assert r.report.passed
 
     def test_empty_h(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -240,6 +241,13 @@ class TestText:
             with pytest.raises(wd.WordError):
                 wd.parse_word(bad)
 
+    def test_descending_run_is_spelled_out_up_to_the_cap(self):
+        w = wd.parse_word("x[9..2]")
+        assert wd.flatten_letters(w) == list(range(10, 2, -1))
+        assert len(wd.parse_word(f"x[{wd.MATERIALIZE_CAP - 1}..0]").segments) == 1
+        with pytest.raises(wd.WordError, match=f"cap {wd.MATERIALIZE_CAP}"):
+            wd.parse_word(f"x[{wd.MATERIALIZE_CAP}..0]")
+
     def test_x_alone_is_letter_23(self):
         assert wd.parse_word("x") == wd.single(23)
 
@@ -286,27 +294,112 @@ class TestHashEquality:
         assert d[E] == 3
 
 
+def _spell(letters):
+    return " ".join(f"x{abs(l) - 1}" + ("^-1" if l < 0 else "") for l in letters)
+
+
+def _run_token(letters):
+    """The one ``x[i..j]`` token (maybe inverted) that spells ``letters``,
+    or None: same signs, generator ids one apart in one direction."""
+    gs = [abs(l) - 1 for l in letters]
+    steps = {b - a for a, b in zip(gs, gs[1:])}
+    if len(steps) != 1 or not steps <= {1, -1} or len({l > 0 for l in letters}) != 1:
+        return None
+    return f"x[{gs[0]}..{gs[-1]}]" if letters[0] > 0 else f"x[{gs[-1]}..{gs[0]}]^-1"
+
+
+def _chunk_word(chunk, data, nest=2):
+    """A Word spelling the reduced letters ``chunk``, built by a drawn public
+    constructor: reduce, parse_word (letter by letter or one run token),
+    fresh_run, inverse, or split_at cutting it out of a longer word."""
+    hows = ["reduce", "parse", "run"] + (["inverse", "split"] if nest else [])
+    how = data.draw(st.sampled_from(hows))
+    if how == "reduce":
+        return wd.reduce(chunk)
+    if how == "inverse":
+        return _chunk_word([-l for l in reversed(chunk)], data, nest - 1).inverse()
+    if how == "split":
+        # one more letter at each end, chosen to extend a stretch when it can
+        pre, post = chunk[0] - 1 or 2, chunk[-1] + 1 or -2
+        w = _chunk_word([pre, *chunk, post], data, nest - 1)
+        return wd.subword(w, 1, 1 + len(chunk))
+    up = all(b == a + 1 for a, b in zip(chunk, chunk[1:]))
+    if how == "run" and up and chunk[0] > 0:
+        return wd.fresh_run(chunk[0] - 1, len(chunk))
+    if how == "run" and up and chunk[-1] < 0:
+        return wd.fresh_run(-chunk[-1] - 1, len(chunk)).inverse()
+    token = _run_token(chunk)
+    return wd.parse_word(token if token and data.draw(st.booleans()) else _spell(chunk))
+
+
 def _resegment(letters, data):
-    """A Word spelling ``letters`` (freely reduced) as a drawn mix of Run and
-    tuple segments, without gluing neighbours."""
-    segs, i = [], 0
+    """A Word spelling ``letters`` (freely reduced) as the product of drawn
+    chunks, each built by :func:`_chunk_word`."""
+    acc, i = E, 0
     while i < len(letters):
         m = data.draw(st.integers(1, len(letters) - i))
-        chunk = letters[i : i + m]
-        steps = {(abs(y) - abs(x)) for x, y in zip(chunk, chunk[1:])}
-        signs = {x > 0 for x in chunk}
-        if m >= 2 and len(steps) == 1 and steps <= {1, -1} and len(signs) == 1:
-            if data.draw(st.booleans()):
-                sign = 1 if chunk[0] > 0 else -1
-                chunk = Run(abs(chunk[0]) - 1, m, steps.pop(), sign)
-        segs.append(chunk if isinstance(chunk, Run) else tuple(chunk))
+        acc = acc * _chunk_word(letters[i : i + m], data)
         i += m
-    return wd.Word(tuple(segs))
+    return acc
+
+
+def canonical_segments(letters):
+    """The oracle for a word's segments: each maximal stretch l, l + 1, ...
+    (letters whose value minus position is constant) of RUN_MIN or more
+    letters is one Run, and the letters between runs form one tuple."""
+    segs = []
+    for _, group in itertools.groupby(enumerate(letters), key=lambda p: p[1] - p[0]):
+        stretch = tuple(l for _, l in group)
+        if len(stretch) >= wd.RUN_MIN:
+            segs.append(Run(stretch[0], len(stretch)))
+        elif segs and isinstance(segs[-1], tuple):
+            segs[-1] += stretch
+        else:
+            segs.append(stretch)
+    return tuple(segs)
+
+
+def _stretch(g, n, sign):
+    """x_g x_{g+1} ... x_{g+n-1}, or its inverse, as letters."""
+    up = [g + 1 + t for t in range(n)]
+    return up if sign > 0 else [-l for l in reversed(up)]
+
+
+stretch_st = st.builds(_stretch, st.integers(0, 6), st.integers(1, 5), st.sampled_from([1, -1]))
+reduced_st = st.lists(st.one_of(stretch_st, letters_st(6)), max_size=6).map(
+    lambda blocks: naive_reduce([l for b in blocks for l in b])
+)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_st, st.data())
+    def test_one_segmentation(self, letters, data):
+        a = wd.reduce(letters)
+        b = _resegment(letters, data)
+        assert wd.flatten_letters(b) == letters
+        assert a.segments == b.segments == canonical_segments(letters)
+        assert str(a) == str(b) and hash(a) == hash(b)
+        assert wd.parse_word(str(a)).segments == a.segments
+        inv = [-l for l in reversed(letters)]
+        assert b.inverse().segments == canonical_segments(inv)
+
+    @pytest.mark.parametrize(
+        "v, text",
+        [(wd.fresh_run(1, 2), "b c"), (wd.single(0) * wd.fresh_run(1, 3), "a b c d")],
+        ids=["fresh-run-of-2", "letter-then-run"],
+    )
+    def test_equal_words_are_spelled_alike(self, v, text):
+        w = W(text)
+        assert v.segments == w.segments
+        assert str(v) == str(w) and hash(v) == hash(w)
 
 
 def _run_word(start, count, step, sign):
-    first = start + (count - 1 if step < 0 else 0)
-    w = wd.Word((Run(first, count, step, 1),))
+    """count letters over ids start.., walked up (step 1) or down (step -1),
+    all with the given sign."""
+    lo, hi = start, start + count - 1
+    w = wd.parse_word(f"x[{lo}..{hi}]" if step > 0 else f"x[{hi}..{lo}]")
     return w if sign > 0 else w.inverse()
 
 
@@ -340,12 +433,13 @@ def _mutate(letters, i, data):
 
 class TestSegmentComparator:
     def test_runs_that_share_a_first_letter(self):
-        up, down = Run(3, 3, 1, 1), Run(5, 3, -1, 1)  # x3 x4 x5 and x5 x4 x3
-        assert wd.Word((up,)) != wd.Word((Run(3, 3, -1, 1),))
-        assert wd.Word((up,)) != wd.Word((Run(3, 3, 1, -1),))
-        assert wd.Word((up,)) == wd.Word(((4,), Run(4, 2, 1, 1)))
-        assert wd.Word((down,)) == wd.Word((Run(5, 2, -1, 1), (4,)))
-        assert wd.Word((up,)).inverse() == wd.Word(((-6, -5, -4),))
+        up, down = wd.fresh_run(3, 3), W("x[5..3]")  # x3 x4 x5 and x5 x4 x3
+        assert up != W("x[3..1]")
+        assert up != W("x3^-1 x4^-1 x5^-1")
+        assert up != down.inverse()
+        assert up == W("x3") * wd.fresh_run(4, 2)
+        assert down == W("x[5..4]") * W("x3")
+        assert up.inverse() == wd.reduce([-6, -5, -4])
 
     @settings(max_examples=150, deadline=None)
     @given(pieces_st, st.data())
@@ -407,7 +501,7 @@ class TestSupportedIn:
     def test_one_word_against_several_alphabets(self):
         # w spans ids 1..9, its lowest id in the last segment; each answer
         # must come from the alphabet at hand, not from an earlier call
-        w = wd.Word((Run(9, 2, -1, -1), Run(3, 4, 1, 1), (2,)))  # x[8..9]^-1 x[3..6] b
+        w = W("x[8..9]^-1 x[3..6] b")
         cases = [
             (IdSet.from_range(0, 9), True),
             (IdSet.from_intervals([(1, 6), (8, 9)]), True),
