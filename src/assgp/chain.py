@@ -243,8 +243,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class BasisAnswer(MembershipAnswer):
-    """A chain membership answer; ``stage`` indexes the condition that
-    certifies a yes."""
+    """A chain membership answer; the ``stage`` of a yes is the last
+    condition's index, the condition whose certificate it carries."""
 
     stage: Optional[int] = None
 
@@ -364,24 +364,24 @@ class ChainState:
     def basis_member(self, n: int, w: Word, budget: Optional[Budget] = None) -> BasisAnswer:
         """Is w in the chain's n-th basic neighbourhood (so far)?
 
-        Yes once any condition deep enough certifies it, naming the latest
-        such stage; the verdict can only improve as the chain grows.  No only
-        when every condition deep enough refutes w, so unknown while no
-        condition reaches level n.  The answer depends only on (chain, n, w,
-        budget): the stages share one map of yes/no answers, made afresh for
-        each call."""
+        Each condition is stacked on the one before it and extends it, so
+        the union of level n over the chain is the last condition's level n,
+        and one search of the last condition answers the query.  A word that
+        the search leaves undecided is still a yes when the last condition's
+        own level-n list holds it.  Unknown while the chain does not reach
+        level n.  The answer depends only on (chain, n, w, budget)."""
         budget = budget or self.budget
-        answers: dict = {}
-        verdicts = set()
-        for idx in range(len(self.chain) - 1, -1, -1):
-            cond = self.chain[idx]
-            if cond.depth < n:
-                continue
-            ans = cond.system.member(n, w, budget, answers)
-            if ans.is_yes:
-                return BasisAnswer(verdict="yes", rep=ans.rep, stage=idx)
-            verdicts.add(ans.verdict)
-        return BasisAnswer(verdict="no" if verdicts == {"no"} else "unknown")
+        system = self.chain[-1].system
+        if system.depth < n:
+            return BasisAnswer(verdict="unknown")
+        ans = system.member(n, w, budget)
+        rep = ans.rep
+        if ans.verdict == "unknown":
+            level = system.enumerate(n, budget)
+            rep = next((system.lift(n, w, r, budget) for u, r in level if u == w), None)
+        if rep is not None:
+            return BasisAnswer(verdict="yes", rep=rep, stage=len(self.chain) - 1)
+        return BasisAnswer(verdict=ans.verdict)
 
     def separation_index(self, g: Word, budget: Optional[Budget] = None) -> tuple[int, int]:
         """Find a stage whose deepest level exactly excludes g.
@@ -567,8 +567,13 @@ class ChainState:
             state.step_log = obj["step_log"]
             state.retry_queue = [(k, a) for k, a in obj.get("retry_queue", [])]
             chain: list[Condition] = []
-            for entry in obj["chain"]:
-                root = None if entry["base"] is None else chain[entry["base"]].system
+            for idx, entry in enumerate(obj["chain"]):
+                # basis_member reads the chain's union from the last
+                # condition, so each condition is stacked on the one before
+                base = idx - 1 if idx else None
+                if entry["base"] != base:
+                    raise ValueError(f"condition {idx} has base {entry['base']!r}, not {base}")
+                root = chain[-1].system if chain else None
                 system = system_from_layers(entry["layers"], root)
                 chain.append(Condition(system.alphabet, system.depth, system))
             if not chain:

@@ -29,8 +29,8 @@ Everything else is ``unknown``: once a cyclic base is present the level sets
 are infinite and bounded search cannot refute.
 
 An answer depends only on (system, level, word, budget).  Systems keep no
-verdicts between searches; a search remembers what it has decided only for
-the query that started it (see :meth:`Nsys.member`).
+verdicts between searches; a search remembers what it has decided only
+until it returns (see :meth:`Nsys.member`).
 """
 
 from __future__ import annotations
@@ -262,17 +262,15 @@ def _conjugators(ids: IdSet) -> list[Word]:
 
 
 class _SearchCtx:
-    """One ``member`` search: its node budget, the unknowns it has met, and
-    the yes/no answers of the query it belongs to, keyed by (layer, level,
-    word)."""
+    """One ``member`` search: its node budget, and every verdict it has
+    reached, keyed by (layer, level, word).  Nothing outlives the search."""
 
-    __slots__ = ("budget", "nodes_left", "memo", "answers")
+    __slots__ = ("budget", "nodes_left", "memo")
 
-    def __init__(self, budget: Budget, answers: dict):
+    def __init__(self, budget: Budget):
         self.budget = budget
         self.nodes_left = budget.nodes
         self.memo: dict = {}
-        self.answers = answers
 
 
 class Nsys:
@@ -292,20 +290,12 @@ class Nsys:
 
     # -- membership ---------------------------------------------------------
 
-    def member(
-        self, i: int, w: Word, budget: Budget = DEFAULT_BUDGET, answers: Optional[dict] = None
-    ) -> MembershipAnswer:
-        """Is w in level i?  The answer depends only on (system, i, w, budget).
-
-        ``answers`` is the yes/no map of a query that asks several systems of
-        one stacked chain at one budget: ``ChainState.basis_member`` passes
-        one map to every stage it asks, so a stage reuses what the stages
-        before it decided on the layers they share, and the query's answer
-        depends only on (chain, i, w, budget).  Left out, the map starts
-        empty."""
+    def member(self, i: int, w: Word, budget: Budget = DEFAULT_BUDGET) -> MembershipAnswer:
+        """Is w in level i?  One bounded search with a fresh context, so the
+        answer depends only on (system, i, w, budget)."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
-        return self._member(i, w, _SearchCtx(budget, {} if answers is None else answers))
+        return self._member(i, w, _SearchCtx(budget))
 
     def _member(self, i: int, w: Word, ctx: _SearchCtx) -> MembershipAnswer:
         raise NotImplementedError
@@ -553,16 +543,9 @@ class EnrichedNsys(Nsys):
 
     def _member(self, i, w, ctx):
         key = (id(self), i, w)
-        if key in ctx.answers:
-            return ctx.answers[key]
-        if key in ctx.memo:
-            return ctx.memo[key]
-        ans = self._member_inner(i, w, ctx)
-        if ans.is_yes or ans.is_no:
-            ctx.answers[key] = ans
-        else:
-            ctx.memo[key] = ans
-        return ans
+        if key not in ctx.memo:
+            ctx.memo[key] = self._member_inner(i, w, ctx)
+        return ctx.memo[key]
 
     def _member_inner(self, i, w, ctx):
         if not supported_in(w, self.alphabet):

@@ -21,6 +21,7 @@ from assgp.chain import (
     serialize,
     word_stream,
 )
+from assgp.cli import EXIT_OK, main
 from assgp.nbhd import (
     Budget,
     EnrichedNsys,
@@ -432,6 +433,21 @@ def test_skip_matches_the_full_scan_off_the_chain():
     assert v.enumerate(v.depth, small) is not u.enumerate(v.depth, small)
 
 
+def stage_walk(st, n, w, budget=BUD):
+    """The oracle for basis_member: the walk it replaced, over each stage
+    deep enough from last to first, with a fresh member call per stage.
+    Yes once a stage certifies w, no when every stage refutes it."""
+    verdicts = set()
+    for cond in reversed(st.chain):
+        if cond.depth < n:
+            continue
+        ans = cond.system.member(n, w, budget)
+        if ans.is_yes:
+            return "yes"
+        verdicts.add(ans.verdict)
+    return "no" if verdicts == {"no"} else "unknown"
+
+
 class TestBasisMember:
     def test_identity_always_yes(self):
         st = small_chain("t2", 4)
@@ -469,8 +485,7 @@ class TestBasisMember:
 
     def test_answer_depends_only_on_the_query(self):
         # no verdict outlives the query that found it: asking again, or
-        # verifying the stored certificates first, gives the same answer.
-        # The first yes needs the stages of one query to share answers.
+        # verifying the stored certificates first, gives the same answer
         data = serialize(built_chain("assgp", 120, 0))
         st = deserialize(data)
         w = W("x4 x[1..3]")
@@ -482,11 +497,53 @@ class TestBasisMember:
         assert verified.verify_certificates() == []
         assert verified.basis_member(3, w) == plain
 
+    def test_last_condition_list_decides(self):
+        # the last condition's level n is the chain's union, so each word
+        # that its own level-n list holds is a yes at the last stage, also
+        # where the bounded search finds no certificate for it
+        st = built_chain("assgp", 120, 0)
+        system = st.chain[-1].system
+        for n in (1, 3, 6):
+            for w, _ in system.enumerate(n, BUD):
+                ans = st.basis_member(n, w)
+                assert ans.is_yes and ans.stage == len(st.chain) - 1, (n, w)
+                assert system.verify_rep(n, w, ans.rep) == (True, ""), (n, w)
+
+    def test_cli_member_from_the_list(self, tmp_path, capsys):
+        path = tmp_path / "assgp.json"
+        path.write_bytes(serialize(built_chain("assgp", 120, 0)))
+        argv = ["query", "member", "--n", "3", "--word", "k x[5..9]"]
+        assert main([*argv, "--state", str(path), "--out", "-"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["verdict"], out["stage"], out["certificate_verified"]) == ("yes", 72, True)
+
+    def test_decides_what_the_stage_walk_decides(self):
+        # a yes of the walk is a yes at the last stage that verifies there,
+        # and a no stays a no; an unknown may be decided either way
+        st = built_chain("assgp", 120, 0)
+        system = st.chain[-1].system
+        rng = random.Random(10)
+        corpus = [(n, W("x4 x[1..3]")) for n in (0, 1, 2)] + [(3, W("k x[5..9]"))]
+        for n in range(system.depth + 1):
+            corpus.append((n, rand_nonempty_word(rng, range(0, 800, 25), 4)))
+        for n in range(system.depth):  # check_group_axioms' first products
+            pool = system.enumerate(n + 1, BUD)[:3]
+            pairs = itertools.islice(itertools.product(pool, pool), 3)
+            corpus += [(n, multiply(u, v)) for (u, _), (v, _) in pairs]
+        for n, w in corpus:
+            verdict = stage_walk(st, n, w)
+            ans = st.basis_member(n, w)
+            if verdict == "yes":
+                assert ans.is_yes and ans.stage == len(st.chain) - 1, (n, w)
+                assert system.verify_rep(n, w, ans.rep) == (True, ""), (n, w)
+            elif verdict == "no":
+                assert ans.is_no, (n, w)
+
 
 class TestSeparation:
     def test_after_C_stage(self):
-        # the stage named refutes g on a fresh member call, so the stages
-        # of one separation_index call must not share answers
+        # separation_index still walks the stages, and the stage it names
+        # refutes g on a fresh member call
         rng = random.Random(8)
         big = built_chain("assgp", 120, 0)
         cases = [(small_chain("t2", 6), a)]

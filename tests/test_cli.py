@@ -164,6 +164,7 @@ class TestStateCommands:
             lambda o: o["certs"][e_key].update(stage=999),
             lambda o: o["certs"][e_key].update(stage="1"),
             lambda o: o["certs"][d_key].update(kind="Z"),
+            lambda o: o["chain"][3].update(base=1),  # not stacked on condition 2
         ]
         for edit in edits:
             broken = json.loads(state.read_text())

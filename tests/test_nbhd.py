@@ -357,6 +357,18 @@ class TestVerifyAxioms:
         closure = [c for c in rpt.checks if c.condition.startswith("(3)")]
         assert closure and not closure[0].ok
 
+    def test_padded_system_expands_exactly(self):
+        # the pad layer's levels above its base's depth are {e}, so the
+        # whole stack expands to finite sets and refutes exactly
+        pad = nbhd.pad_system(trivial_system(A, 1), 3)
+        V = identity_extension(pad, IdSet.of(1))
+        for U in (pad, V):
+            assert [set(level) for level in U.exact_levels()] == [{E}] * 4
+        ans = V.member(0, a)
+        assert ans.is_no and ans.reason == "absent from the exact level set"
+        closure = [c for c in verify_axioms(pad).checks if c.condition.startswith("(3)")]
+        assert [(c.mode, c.ok) for c in closure] == [("exact", True)]
+
 
 class TestSerialization:
     def test_system_roundtrip(self):
