@@ -527,13 +527,11 @@ class ChainState:
     def to_obj(self) -> dict:
         chain_objs = []
         for idx, cond in enumerate(self.chain):
-            # stored as the layers stacked on the latest earlier condition
-            ancestors = cond.system.ancestors()
-            base_idx = next(
-                (j for j in range(idx - 1, -1, -1) if self.chain[j].system in ancestors), None
-            )
-            stop = None if base_idx is None else self.chain[base_idx].system
-            chain_objs.append({"base": base_idx, "layers": system_layers(cond.system, stop)})
+            # the layers stacked on the condition before it; system_layers
+            # raises when that condition is not one of its ancestors
+            base = idx - 1 if idx else None
+            stop = None if base is None else self.chain[base].system
+            chain_objs.append({"base": base, "layers": system_layers(cond.system, stop)})
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -570,9 +568,8 @@ class ChainState:
             for idx, entry in enumerate(obj["chain"]):
                 # basis_member reads the chain's union from the last
                 # condition, so each condition is stacked on the one before
-                base = idx - 1 if idx else None
-                if entry["base"] != base:
-                    raise ValueError(f"condition {idx} has base {entry['base']!r}, not {base}")
+                if entry["base"] != (idx - 1 if idx else None):
+                    raise ValueError(f"condition {idx} is not stacked on the one before")
                 root = chain[-1].system if chain else None
                 system = system_from_layers(entry["layers"], root)
                 chain.append(Condition(system.alphabet, system.depth, system))

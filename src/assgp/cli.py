@@ -301,8 +301,7 @@ def cmd_query(args) -> int:
         }
         if ans.rep is not None:
             out["certificate"] = nbhd.rep_to_obj(ans.rep)
-            cond = state.chain[ans.stage]
-            ok, why = cond.system.verify_rep(args.n, w, ans.rep)
+            ok, why = state.chain[-1].system.verify_rep(args.n, w, ans.rep)
             out["certificate_verified"] = ok
             if not ok:
                 _write(args.out, _canon_json(out))

@@ -262,8 +262,8 @@ def _conjugators(ids: IdSet) -> list[Word]:
 
 
 class _SearchCtx:
-    """One ``member`` search: its node budget, and every verdict it has
-    reached, keyed by (layer, level, word).  Nothing outlives the search."""
+    """One ``member`` search: its node budget, and the verdict of each layer
+    that asked its base, keyed by (layer, level, word), for that search only."""
 
     __slots__ = ("budget", "nodes_left", "memo")
 
@@ -292,12 +292,29 @@ class Nsys:
 
     def member(self, i: int, w: Word, budget: Budget = DEFAULT_BUDGET) -> MembershipAnswer:
         """Is w in level i?  One bounded search with a fresh context, so the
-        answer depends only on (system, i, w, budget)."""
+        answer depends only on (system, i, w, budget).  A search node is an
+        enriched layer's nesting step or one conjugation candidate; handing
+        a level to the base costs none, so the budget reaches a deep stack's
+        lowest layers."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         return self._member(i, w, _SearchCtx(budget))
 
     def _member(self, i: int, w: Word, ctx: _SearchCtx) -> MembershipAnswer:
+        # Walk down the layers that hand level i to their base, then answer
+        # root-upwards into the memo: a deep stack does not recurse per layer.
+        passed = []
+        layer = self
+        while (ans := ctx.memo.get((id(layer), i, w)) or layer._own_answer(i, w, ctx)) is None:
+            passed.append(layer)
+            layer = layer.base
+        for layer in reversed(passed):
+            ans = ctx.memo[(id(layer), i, w)] = layer._after_base(i, w, ans, ctx)
+        return ans
+
+    def _own_answer(self, i: int, w: Word, ctx: _SearchCtx) -> "MembershipAnswer | None":
+        """The answer this layer gives without its base, or None to ask the
+        base; ``_after_base(i, w, base_answer, ctx)`` then gives the answer."""
         raise NotImplementedError
 
     # -- enumeration ----------------------------------------------------------
@@ -397,7 +414,7 @@ class TrivialNsys(Nsys):
             raise ZeroDepth(f"depth must be >= 1, got {depth}")
         super().__init__(alphabet, depth)
 
-    def _member(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx):
         if w.is_identity():
             return _yes(Leaf(i, E, "trivial"))
         return _no("trivial system: level is {e}")
@@ -432,7 +449,7 @@ class ExplicitNsys(Nsys):
         super().__init__(alphabet, len(levels) - 1)
         self.levels = levels
 
-    def _member(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx):
         if w in self.levels[i]:
             return _yes(Leaf(i, w, "explicit"))
         return _no("not in the explicit level set")
@@ -468,12 +485,15 @@ class PaddedNsys(Nsys):
         super().__init__(base.alphabet, depth)
         self.base = base
 
-    def _member(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx):
         if i <= self.base.depth:
-            return self.base._member(i, w, ctx)
+            return None
         if w.is_identity():
             return _yes(Leaf(i, E, "pad"))
         return _no("padded level is {e}")
+
+    def _after_base(self, i, w, base_ans, ctx):
+        return base_ans
 
     def _enumerate(self, i, budget):
         if i <= self.base.depth:
@@ -541,13 +561,7 @@ class EnrichedNsys(Nsys):
 
     # -- membership ----------------------------------------------------------
 
-    def _member(self, i, w, ctx):
-        key = (id(self), i, w)
-        if key not in ctx.memo:
-            ctx.memo[key] = self._member_inner(i, w, ctx)
-        return ctx.memo[key]
-
-    def _member_inner(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx):
         if not supported_in(w, self.alphabet):
             return _no("letters outside the ambient alphabet")
         bound = self._bound(i)
@@ -557,11 +571,9 @@ class EnrichedNsys(Nsys):
         if exact is not None:
             rep = exact[i].get(w)
             return _yes(rep) if rep is not None else _no("absent from the exact level set")
-        if ctx.nodes_left <= 0:
-            return _unknown("search budget exhausted")
-        ctx.nodes_left -= 1
+        return _unknown("search budget exhausted") if ctx.nodes_left <= 0 else None
 
-        base_ans = self.base._member(i, w, ctx)
+    def _after_base(self, i, w, base_ans, ctx):
         if base_ans.is_yes:
             return _yes(Leaf(i, w, "base", base_ans.rep))
         if i == self.depth:
@@ -570,6 +582,9 @@ class EnrichedNsys(Nsys):
             if base_ans.is_no:
                 return _no("neither in the base level nor the adjoined set")
             return _unknown("base level undecided")
+        if ctx.nodes_left <= 0:
+            return _unknown("search budget exhausted")
+        ctx.nodes_left -= 1
 
         # nesting: V_{i+1} ⊆ V_i via x = e with v = e
         up = self._member(i + 1, w, ctx)

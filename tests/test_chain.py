@@ -47,7 +47,7 @@ from assgp.poset import (
     TrivialG,
     is_extension,
 )
-from assgp.words import E, IdSet, multiply, parse_word, single, supported_in
+from assgp.words import E, IdSet, letters, multiply, parse_word, single, supported_in
 
 from conftest import SHARED_BUDGET, W, rand_nonempty_word, shared_level_stack
 
@@ -243,7 +243,7 @@ def test_assgp_240_state_bytes_golden():
 def test_full_1000_state_bytes_golden():
     # 582 conditions, depth 201: the deepest stack of inherited levels.  The
     # reloaded state re-verifies its certificates at the default limit.
-    st = small_chain("full", 1000, 0)
+    st = built_chain("full", 1000, 0)
     assert (len(st.chain), st.chain[-1].depth) == (582, 201)
     data = serialize(st)
     assert (
@@ -516,6 +516,31 @@ class TestBasisMember:
         assert main([*argv, "--state", str(path), "--out", "-"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert (out["verdict"], out["stage"], out["certificate_verified"]) == ("yes", 72, True)
+
+    def test_deep_chain_finds_what_an_earlier_condition_finds(self):
+        # full-1000 stacks 381 enrich layers, more than the 120 search nodes;
+        # a target g0 that the condition holding its E certificate finds at
+        # level n is a yes of the last condition, and conj_density_witness,
+        # which re-asks basis_member for a cached key, still answers
+        st = built_chain("full", 1000, 0)
+        last = st.chain[-1].system
+        cached = []
+        for key, rec in st.certs.items():
+            if rec["kind"] != "E":
+                continue
+            d = ch._descriptor_from_key(key)
+            g0 = W(rec["g0"])
+            assert st.basis_member(rec["level"], g0).is_yes, key
+            if st.chain[rec["stage"]].system.member(d.n, g0, st.budget).is_yes:
+                ans = st.basis_member(d.n, g0)
+                assert ans.is_yes and last.verify_rep(d.n, g0, ans.rep) == (True, ""), key
+                if letters(d.g).union(letters(d.h)) == d.S:
+                    cached.append(d)
+        d = cached[0]
+        n_chain = len(st.chain)
+        rec = st.conj_density_witness(d.g, d.h.inverse(), d.n)
+        assert rec["basis"].is_yes and rec["stage"] == n_chain - 1
+        assert len(st.chain) == n_chain
 
     def test_decides_what_the_stage_walk_decides(self):
         # a yes of the walk is a yes at the last stage that verifies there,
