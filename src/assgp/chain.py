@@ -528,7 +528,7 @@ class ChainState:
         chain_objs = []
         for idx, cond in enumerate(self.chain):
             # the layers stacked on the condition before it; system_layers
-            # raises when that condition is not one of its ancestors
+            # raises NbhdError when that condition is not one of its ancestors
             base = idx - 1 if idx else None
             stop = None if base is None else self.chain[base].system
             chain_objs.append({"base": base, "layers": system_layers(cond.system, stop)})

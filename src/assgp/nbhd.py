@@ -6,8 +6,7 @@ the free group over its alphabet, subject to the closure condition
 x = e), with ``e ∈ U_n``.  Systems here are built, never materialized:
 
 * :func:`trivial_system` — every level is {e};
-* :func:`explicit_system` — hand-written finite levels (mainly a test oracle
-  and a way to exhibit axiom violations);
+* :func:`explicit_system` — hand-written finite levels, a test oracle;
 * :func:`enrich` — adjoin a symmetric base set B at the deepest level and
   close off under conjugation from the ambient alphabet;
 * :func:`cyclic_alphabet_extension` / :func:`identity_extension` — the two
@@ -35,7 +34,7 @@ until it returns (see :meth:`Nsys.member`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -77,10 +76,6 @@ class OverlapAlphabet(NbhdError):
 
 class BadLevel(NbhdError):
     pass
-
-
-class HypothesisUnverified(NbhdError):
-    """The disjointness premise of certificate reduction failed on a sample."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +388,19 @@ class Nsys:
     def _verify_structure(self, i, rep) -> tuple[bool, str]:
         raise NotImplementedError
 
-    def ancestors(self) -> list["Nsys"]:
-        out: list[Nsys] = [self]
-        while isinstance(out[-1], (EnrichedNsys, PaddedNsys)):
-            out.append(out[-1].base)
+    def ancestors(self, stop: "Nsys | None" = None) -> list["Nsys"]:
+        """This layer and the layers below it, top first, down to but not
+        including ``stop``; the whole stack when ``stop`` is None.  Raises
+        NbhdError when ``stop`` is neither this layer nor one below it."""
+        out: list[Nsys] = []
+        layer = self
+        while layer is not stop:
+            out.append(layer)
+            if not isinstance(layer, (EnrichedNsys, PaddedNsys)):
+                if stop is not None:
+                    raise NbhdError("system is not stacked on the given one")
+                break
+            layer = layer.base
         return out
 
     def node_obj(self) -> dict:
@@ -440,7 +444,8 @@ class TrivialNsys(Nsys):
 
 
 class ExplicitNsys(Nsys):
-    """Hand-written finite levels; checked axioms live in verify_axioms."""
+    """Hand-written finite levels, a test oracle for the search; the
+    constructor checks none of the level-system conditions."""
 
     def __init__(self, alphabet: IdSet, levels: Iterable[Iterable[Word]]):
         levels = tuple(frozenset(level) for level in levels)
@@ -802,178 +807,14 @@ def identity_extension(U: Nsys, fresh: IdSet) -> EnrichedNsys:
 
 
 # ---------------------------------------------------------------------------
-# Certificate reduction
+# Letter-count bound
 # ---------------------------------------------------------------------------
-
-
-def eta(w: Word, B: BaseSet, Bp: BaseSet) -> Word:
-    """Collapse the freshly adjoined elements: e if w ∈ B \\ B', else w."""
-    if B.contains(w) and not Bp.contains(w):
-        return E
-    return w
-
-
-def reduce_rep(
-    rep,
-    V: EnrichedNsys,
-    Bp: BaseSet,
-    budget: Budget = DEFAULT_BUDGET,
-) -> tuple[object, EnrichedNsys]:
-    """Map a certificate of the B-enrichment V to one of the B'-enrichment.
-
-    B' must sit inside B.  The disjointness premise — nothing of B \\ B'
-    except e shows up among ambient letters or the B'-enrichment's levels —
-    is sampled via enumeration before the leaves are collapsed; a violation
-    raises :class:`HypothesisUnverified`.  The returned certificate is
-    re-verified against the B'-enrichment.
-    """
-    B = V.extra
-    Vp = enrich(V.base, Bp, V.alphabet)
-
-    def in_gap(w: Word) -> bool:
-        return (not w.is_identity()) and B.contains(w) and not Bp.contains(w)
-
-    for x in _conjugators(V.alphabet):
-        if not x.is_identity() and in_gap(x):
-            raise HypothesisUnverified(f"ambient letter {x} lies in B \\ B'")
-    for i in range(1, Vp.depth + 1):
-        for w, _ in Vp.enumerate(i, budget):
-            if in_gap(w):
-                raise HypothesisUnverified(f"level-{i} member {w} lies in B \\ B'")
-
-    def mapped(node):
-        if isinstance(node, Leaf):
-            if node.origin == "extra":
-                if Bp.contains(node.word):
-                    return Leaf(node.level, node.word, "extra")
-                return Vp.identity_rep(node.level)
-            if in_gap(node.word):
-                raise HypothesisUnverified(f"base leaf {node.word} lies in B \\ B'")
-            return node
-        if in_gap(node.x):
-            raise HypothesisUnverified(f"conjugator {node.x} lies in B \\ B'")
-        return Conj(node.level, node.x, mapped(node.left), mapped(node.right))
-
-    out = mapped(rep)
-    ok, why = Vp.verify_rep(out.level, rep_word(out), out)
-    if not ok:
-        raise HypothesisUnverified(f"reduced certificate failed verification: {why}")
-    return out, Vp
 
 
 def letter_bound_check(rep, base_alphabet_size: int, n: int, i: int) -> bool:
     """Σ|lett(a_l)| over the flattened factors against |X|·4^(n-i)."""
     total = sum(letters(f).size for f in flatten_factors(rep))
     return total <= base_alphabet_size * 4 ** (n - i)
-
-
-# ---------------------------------------------------------------------------
-# Axiom verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AxiomCheck:
-    condition: str
-    mode: str  # "exact" | "structural" | "sampled"
-    ok: bool
-    witness: str = ""
-
-
-@dataclass
-class AxiomReport:
-    checks: list[AxiomCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def add(self, condition, mode, ok, witness=""):
-        self.checks.append(AxiomCheck(condition, mode, ok, witness))
-
-
-def verify_axioms(U: Nsys, budget: Budget = DEFAULT_BUDGET, samples: int = 12) -> AxiomReport:
-    """Check the four level-system conditions.
-
-    Support (1) and symmetry (2) are exact on base data; the conjugated-square
-    closure (3) holds by construction for enriched layers and is additionally
-    spot-checked on enumerated members; finite systems are checked
-    exhaustively.  e ∈ U_n (4) is exact.
-    """
-    rpt = AxiomReport()
-    exact = U.exact_levels()
-
-    ans = U.member(U.depth, E, budget)
-    rpt.add("(4) e in deepest level", "exact", ans.is_yes)
-
-    if isinstance(U, ExplicitNsys):
-        for i, level in enumerate(U.levels):
-            for w in sorted(level, key=word_key):
-                if not supported_in(w, U.alphabet):
-                    rpt.add("(1) levels inside F(alphabet)", "exact", False, f"level {i}: {w}")
-            bad = [w for w in level if w.inverse() not in level]
-            rpt.add(
-                "(2) symmetry",
-                "exact",
-                not bad,
-                f"level {i}: {sorted(map(str, bad))[0]}" if bad else "",
-            )
-    else:
-        layer: Nsys = U
-        ok1 = True
-        ok2 = True
-        witness1 = witness2 = ""
-        while isinstance(layer, (EnrichedNsys, PaddedNsys)):
-            if isinstance(layer, EnrichedNsys):
-                if not layer.extra.support().issubset(layer.alphabet):
-                    ok1, witness1 = False, "adjoined set leaves the ambient alphabet"
-                for w in layer.extra.finite:
-                    if w.inverse() not in layer.extra.finite:
-                        ok2, witness2 = False, str(w)
-            layer = layer.base
-        rpt.add("(1) levels inside F(alphabet)", "structural", ok1, witness1)
-        rpt.add("(2) symmetry", "structural+exact bases", ok2, witness2)
-
-    if exact is not None:
-        sets = [frozenset(lv) for lv in exact]
-        bar = [E]
-        if U.alphabet.size <= 16:
-            for g in U.alphabet:
-                bar.append(single(g, 1))
-                bar.append(single(g, -1))
-        ok = True
-        witness = ""
-        for i in range(U.depth):
-            for x in bar:
-                xi = x.inverse()
-                for u in sets[i + 1]:
-                    for v in sets[i + 1]:
-                        w = multiply(multiply(multiply(x, u), v), xi)
-                        if w not in sets[i]:
-                            ok, witness = False, f"level {i}: {x}·{u}·{v}·{x}^-1 = {w}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rpt.add("(3) conjugated-square closure", "exact", ok, witness)
-    else:
-        ok = True
-        witness = ""
-        conj = _conjugators(U.alphabet) if isinstance(U, EnrichedNsys) else [E]
-        for i in range(U.depth):
-            pool = U.enumerate(i + 1, budget)[:samples]
-            for x in conj[: 2 * samples + 1]:
-                xi = x.inverse()
-                for u, _ in pool[: max(2, samples // 3)]:
-                    for v, _ in pool[: max(2, samples // 3)]:
-                        w = multiply(multiply(multiply(x, u), v), xi)
-                        if U.member(i, w, budget).is_no:
-                            ok, witness = False, f"level {i}: {x}·{u}·{v}·{x}^-1 = {w}"
-        rpt.add("(3) conjugated-square closure", "structural+sampled", ok, witness)
-    return rpt
 
 
 # ---------------------------------------------------------------------------
@@ -993,10 +834,7 @@ def base_set_from_obj(obj: dict) -> BaseSet:
 def system_layers(U: Nsys, stop: Optional[Nsys] = None) -> list[dict]:
     """Layer descriptions root-first, or only those stacked above the
     ancestor ``stop``; rebuild with :func:`system_from_layers`."""
-    layers = U.ancestors()
-    if stop is not None:
-        layers = layers[: layers.index(stop)]
-    return [layer.node_obj() for layer in reversed(layers)]
+    return [layer.node_obj() for layer in reversed(U.ancestors(stop))]
 
 
 def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:

@@ -296,7 +296,6 @@ def full_scan_report(q, p, budget):
     rpt = ExtensionReport(
         alphabet_ok=p.alphabet.issubset(q.alphabet),
         depth_ok=p.depth <= q.depth,
-        containment_mode="stacked",
         budget_key=budget.key(),
     )
     if not (rpt.alphabet_ok and rpt.depth_ok):

@@ -10,17 +10,14 @@ from assgp.nbhd import (
     Leaf,
     cyclic_alphabet_extension,
     enrich,
-    eta,
     explicit_system,
     identity_extension,
     letter_bound_check,
     make_base,
-    reduce_rep,
     rep_word,
     trivial_system,
-    verify_axioms,
 )
-from assgp.words import E, IdSet, letters, multiply, power, single
+from assgp.words import E, IdSet, multiply, power, single
 
 from conftest import SHARED_BUDGET, W, shared_level_stack
 
@@ -135,6 +132,16 @@ class TestMembership:
         ans0 = V.member(0, y)
         assert ans1.is_yes and ans0.is_yes
         assert V.verify_rep(0, y, ans0.rep)[0]
+
+    def test_padded_system_expands_exactly(self):
+        # the pad layer's levels above its base's depth are {e}, so the
+        # whole stack expands to finite sets and refutes exactly
+        pad = nbhd.pad_system(trivial_system(A, 1), 3)
+        V = identity_extension(pad, IdSet.of(1))
+        for U in (pad, V):
+            assert [set(level) for level in U.exact_levels()] == [{E}] * 4
+        ans = V.member(0, a)
+        assert ans.is_no and ans.reason == "absent from the exact level set"
 
 
 class TestEnumeration:
@@ -253,60 +260,6 @@ class TestMonotonicity:
                     assert U.member(i, w).is_yes, f"level {i}: {w}"
 
 
-class TestEta:
-    def _setting(self):
-        f = wd.fresh_run(24, 2)
-        g0 = multiply(multiply(f, a), f.inverse())
-        return f, g0
-
-    def test_eta_collapses_new_elements(self):
-        _, g0 = self._setting()
-        B = make_base(cyclic=[g0])
-        Bp = nbhd.IDENTITY_BASE
-        assert eta(power(g0, 2), B, Bp) == E
-        assert eta(a, B, Bp) == a
-        assert eta(E, B, Bp) == E
-
-    def test_eta_idempotent(self):
-        _, g0 = self._setting()
-        B = make_base(cyclic=[g0])
-        Bp = nbhd.IDENTITY_BASE
-        for w in [E, a, g0, power(g0, -3), multiply(a, b)]:
-            once = eta(w, B, Bp)
-            assert eta(once, B, Bp) == once
-
-    def test_reduce_rep_leaf(self):
-        _, g0 = self._setting()
-        U = trivial_system(A, 1)
-        V = enrich(U, make_base(cyclic=[g0]), letters(g0).union(A))
-        rep = Leaf(1, g0, "extra")
-        out, Vp = reduce_rep(rep, V, nbhd.IDENTITY_BASE)
-        assert rep_word(out) == E
-        assert Vp.verify_rep(1, E, out)[0]
-
-    def test_reduce_rep_conj(self):
-        _, g0 = self._setting()
-        U = trivial_system(A, 1)
-        V = enrich(U, make_base(cyclic=[g0]), letters(g0).union(A))
-        rep = Conj(0, a, Leaf(1, g0, "extra"), Leaf(1, g0.inverse(), "extra"))
-        w = rep_word(rep)
-        assert w == E  # a·g0·g0⁻¹·a⁻¹
-        out, Vp = reduce_rep(rep, V, nbhd.IDENTITY_BASE)
-        assert rep_word(out) == E
-        assert Vp.verify_rep(0, E, out)[0]
-
-    def test_reduce_rep_base_leaf_unchanged(self):
-        _, g0 = self._setting()
-        lv = [{E, a, a.inverse()}, {E, a, a.inverse()}]
-        U = explicit_system(A, lv)
-        V = enrich(U, make_base(cyclic=[g0]), letters(g0).union(A))
-        inner = U.member(0, a).rep
-        rep = Leaf(0, a, "base", inner)
-        out, Vp = reduce_rep(rep, V, nbhd.IDENTITY_BASE)
-        assert out == rep
-
-
-
 class TestLetterBound:
     def test_bound_arithmetic(self):
         assert 2 * 4**2 == 32
@@ -333,43 +286,6 @@ class TestLetterBound:
                         )
 
 
-class TestVerifyAxioms:
-    def test_trivial_passes(self):
-        assert verify_axioms(trivial_system(A, 2)).passed
-
-    def test_hand_built_symmetry_violation(self):
-        bad = explicit_system(A, [{E, a}, {E}])
-        rpt = verify_axioms(bad)
-        assert not rpt.passed
-        sym = [c for c in rpt.checks if c.condition.startswith("(2)") and not c.ok]
-        assert sym and "a" in sym[0].witness
-
-    def test_enrichment_of_valid_system_passes(self):
-        f = wd.fresh_run(24, 2)
-        g0 = multiply(multiply(f, a), f.inverse())
-        V = enrich(trivial_system(A, 1), make_base(cyclic=[g0]), letters(g0).union(A))
-        assert verify_axioms(V, Budget(exp=2, nodes=120)).passed
-
-    def test_closure_violation_detected_exactly(self):
-        # U_1 = {e, b±} but U_0 = {e}: products b·b escape level 0.
-        bad = explicit_system(AB, [{E}, {E, b, b.inverse()}])
-        rpt = verify_axioms(bad)
-        closure = [c for c in rpt.checks if c.condition.startswith("(3)")]
-        assert closure and not closure[0].ok
-
-    def test_padded_system_expands_exactly(self):
-        # the pad layer's levels above its base's depth are {e}, so the
-        # whole stack expands to finite sets and refutes exactly
-        pad = nbhd.pad_system(trivial_system(A, 1), 3)
-        V = identity_extension(pad, IdSet.of(1))
-        for U in (pad, V):
-            assert [set(level) for level in U.exact_levels()] == [{E}] * 4
-        ans = V.member(0, a)
-        assert ans.is_no and ans.reason == "absent from the exact level set"
-        closure = [c for c in verify_axioms(pad).checks if c.condition.startswith("(3)")]
-        assert [(c.mode, c.ok) for c in closure] == [("exact", True)]
-
-
 class TestSerialization:
     def test_system_roundtrip(self):
         U = trivial_system(A, 1)
@@ -380,6 +296,15 @@ class TestSerialization:
         assert rebuilt.depth == 3
         assert rebuilt.alphabet == W_.alphabet
         assert rebuilt.member(0, power(y, 2)).is_yes
+
+    def test_layers_above_an_ancestor(self):
+        U = trivial_system(A, 1)
+        V = cyclic_alphabet_extension(U, IdSet.of(24))
+        W_ = nbhd.PaddedNsys(V, 3)
+        assert W_.ancestors(U) == [W_, V] and W_.ancestors(W_) == []
+        assert nbhd.system_layers(W_, U) == [V.node_obj(), W_.node_obj()]
+        with pytest.raises(nbhd.NbhdError):
+            nbhd.system_layers(W_, trivial_system(A, 1))
 
     def test_reloaded_deep_stack_enumerates(self):
         # a reloaded state has no enumeration cached; enumerating its top

@@ -2,13 +2,14 @@ import pytest
 
 from assgp import poset as ps
 from assgp.cancel import TrivialG, make_setting
+from assgp.chain import new_chain
 from assgp.nbhd import (
     Budget,
+    NbhdError,
     enrich,
     explicit_system,
     make_base,
     trivial_system,
-    verify_axioms,
 )
 from assgp.poset import (
     Condition,
@@ -43,7 +44,8 @@ class TestCondition:
     def test_initial(self):
         p0 = initial_condition()
         assert p0.depth == 1 and p0.alphabet == IdSet.of(0)
-        assert verify_axioms(p0.system).passed
+        report = new_chain().check_group_axioms()
+        assert report["passed"] and len(report["entries"]) == 4
 
     def test_mismatched_fields_rejected(self):
         with pytest.raises(ps.PosetError):
@@ -65,7 +67,7 @@ class TestPadLevels:
         p0 = initial_condition()
         q = pad_levels(p0, 3)
         rpt = is_extension(q, p0, BUD)
-        assert rpt.passed and rpt.containment_mode == "stacked"
+        assert rpt.passed and rpt.describe()["containment_mode"] == "stacked"
 
 
 class TestAddLetters:
@@ -179,27 +181,18 @@ class TestIsExtension:
         assert not rpt.passed
         assert any(w == "b" for _, w, _ in rpt.violations)
 
-    def test_structural_failures(self):
+    def test_unstacked_pair_is_refused(self):
+        # every extension the chain checks is stacked; a q built afresh,
+        # even one with p's levels, is refused before anything is checked
         p = add_letters(initial_condition(), IdSet.of(0, 1))
-        rpt = is_extension(initial_condition(), p, BUD)
-        assert not rpt.alphabet_ok and not rpt.passed
-
-    def test_unstacked_systems_are_sampled(self):
-        # q's system is built afresh, not stacked on p's, so the containment
-        # of p's levels in q's is checked member by member
+        with pytest.raises(NbhdError):
+            is_extension(initial_condition(), p, BUD)
         levels = [[E, a, a.inverse()], [E]]
         p = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), levels))
-        same = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), levels))
-        rpt = is_extension(same, p, BUD)
-        assert rpt.containment_mode == "sampled" and rpt.passed
-
-        dropped = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), [[E], [E]]))
-        rpt = is_extension(dropped, p, BUD)
-        assert rpt.containment_mode == "sampled" and not rpt.passed
-        assert sorted(rpt.violations) == [
-            (0, "a", "level member lost in extension"),
-            (0, "a^-1", "level member lost in extension"),
-        ]
+        for q_levels in (levels, [[E], [E]]):
+            q = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), q_levels))
+            with pytest.raises(NbhdError):
+                is_extension(q, p, BUD)
 
 
 class TestConjExtension:
