@@ -181,12 +181,16 @@ class TestIsExtension:
         assert not rpt.passed
         assert any(w == "b" for _, w, _ in rpt.violations)
 
-    def test_unstacked_pair_is_refused(self):
-        # every extension the chain checks is stacked; a q built afresh,
-        # even one with p's levels, is refused before anything is checked
+    def test_structural_failures(self):
+        # q's alphabet misses p's letters, so q cannot be stacked on p:
+        # the pair is refused before anything is checked
         p = add_letters(initial_condition(), IdSet.of(0, 1))
         with pytest.raises(NbhdError):
             is_extension(initial_condition(), p, BUD)
+
+    def test_unstacked_systems_are_sampled(self):
+        # every extension the chain checks is stacked; a q built afresh,
+        # with p's levels or with fewer, is refused rather than sampled
         levels = [[E, a, a.inverse()], [E]]
         p = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), levels))
         for q_levels in (levels, [[E], [E]]):
