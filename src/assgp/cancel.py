@@ -27,13 +27,15 @@ from .words import (
     E,
     IdSet,
     Word,
-    cyclic_member,
+    cyclic_exponent,
+    cyclic_parts,
     fresh_run,
     is_concatenation,
     junction_cancels,
     letters,
     multiply,
     power,
+    reduce as reduce_word,
     split_at,
     supported_in,
 )
@@ -385,8 +387,9 @@ def eta_invariance_check(seq: list[Word], setting: ConjSetting) -> EtaReport:
     exponents: list[Optional[int]] = []
     deltas: list[int] = []
     L: list[int] = []
+    g0_parts = cyclic_parts(setting.g0)
     for idx, a in enumerate(seq):
-        q = cyclic_member(a, setting.g0)
+        q = cyclic_exponent(a, g0_parts)
         in_group = q is not None and q != 0
         has_y = yid in letters(a)
         if has_y != in_group:
@@ -436,9 +439,7 @@ def _rand_reduced(rng: random.Random, ids: list[int], max_len: int) -> Word:
         if out and out[-1] == -l:
             continue
         out.append(l)
-    from .words import reduce as _reduce
-
-    return _reduce(out)
+    return reduce_word(out)
 
 
 def _rand_forest(rng: random.Random, n_pairs: int) -> list:

@@ -71,6 +71,7 @@ from .words import (
     letters,
     multiply,
     parse_word,
+    reduce as reduce_word,
     single,
     supported_in,
 )
@@ -125,8 +126,6 @@ def _reduced_tuples(length: int, max_id: int) -> Iterator[tuple[int, ...]]:
 
 def word_stream(include_identity: bool = False) -> Iterator[Word]:
     """All reduced words, each exactly once, by length + max-id rank."""
-    from .words import reduce as _reduce
-
     if include_identity:
         yield E
     rank = 1
@@ -134,7 +133,7 @@ def word_stream(include_identity: bool = False) -> Iterator[Word]:
         for max_id in range(rank):
             length = rank - max_id
             for tup in _reduced_tuples(length, max_id):
-                yield _reduce(tup)
+                yield reduce_word(tup)
         rank += 1
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import random
 import sys
 
 from . import cancel as cc
@@ -36,7 +37,17 @@ from . import chain as ch
 from . import nbhd
 from . import poset as ps
 from .nbhd import Budget
-from .words import E, IdSet, WordError, letters, multiply, parse_word
+from .words import (
+    E,
+    IdSet,
+    WordError,
+    cyclic_exponent,
+    cyclic_parts,
+    letters,
+    multiply,
+    parse_word,
+    reduce as reduce_word,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -112,10 +123,6 @@ def cmd_build(args) -> int:
 
 
 def _suite_word_laws(trials: int, seed: int) -> dict:
-    import random
-
-    from .words import reduce as reduce_word
-
     rng = random.Random(seed)
     counterexamples = []
     for t in range(trials):
@@ -154,8 +161,6 @@ def _suite_same_sign(trials: int, seed: int) -> dict:
 
 
 def _suite_eta(trials: int, seed: int, inject_bug: str) -> dict:
-    import random
-
     rng = random.Random(seed)
     counterexamples = []
     X = IdSet.of(0, 1)
@@ -172,15 +177,14 @@ def _suite_eta(trials: int, seed: int, inject_bug: str) -> dict:
             seq.append(cc._rand_reduced(rng, [1, 2], 4))
         if inject_bug == "eta-skip":
             # deliberately keep one non-trivial power un-collapsed
-            from .words import cyclic_member
-
+            g0_parts = cyclic_parts(st.g0)
             lhs = E
             for w in seq:
                 lhs = multiply(lhs, w)
             rhs = E
             skipped = False
             for w in seq:
-                q = cyclic_member(w, st.g0)
+                q = cyclic_exponent(w, g0_parts)
                 collapse = q is not None and q != 0
                 if collapse and not skipped:
                     skipped = True

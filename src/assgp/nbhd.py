@@ -34,17 +34,20 @@ until it returns (see :meth:`Nsys.member`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Optional
 
 from .words import (
     E,
+    CyclicParts,
     IdSet,
     Word,
-    cyclic_member,
+    cyclic_exponent,
+    cyclic_parts,
     letters,
     multiply,
+    parse_word,
     power,
     single,
     supported_in,
@@ -186,18 +189,25 @@ class BaseSet:
     """A symmetric subset of the free group: finite words plus whole cyclic
     subgroups ⟨c⟩ for each listed generator word c.
 
-    Membership is exact (cyclic membership decides w = c^k precisely).
+    Membership is exact (cyclic membership decides w = c^k precisely).  Each
+    generator is decomposed once, when the set is built, into the
+    :func:`cyclic_parts` that :meth:`contains` tests every word against; the
+    parts take no part in equality, hashing or :meth:`describe`.
     """
 
     finite: tuple[Word, ...] = ()
     cyclic: tuple[Word, ...] = ()
+    _parts: tuple[CyclicParts, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_parts", tuple(cyclic_parts(c) for c in self.cyclic))
 
     def contains(self, w: Word) -> bool:
         if w in self.finite:
             return True
         if w.is_identity() and self.cyclic:
             return True
-        return any(cyclic_member(w, c) is not None for c in self.cyclic)
+        return any(cyclic_exponent(w, parts) is not None for parts in self._parts)
 
     def support(self) -> IdSet:
         sup = IdSet.empty()
@@ -823,8 +833,6 @@ def letter_bound_check(rep, base_alphabet_size: int, n: int, i: int) -> bool:
 
 
 def base_set_from_obj(obj: dict) -> BaseSet:
-    from .words import parse_word
-
     return make_base(
         finite=[parse_word(t) for t in obj.get("finite", [])],
         cyclic=[parse_word(t) for t in obj.get("cyclic", [])],
@@ -869,8 +877,6 @@ def rep_to_obj(rep) -> list:
 
 
 def rep_from_obj(obj) -> object:
-    from .words import parse_word
-
     if obj[0] == "leaf":
         sub = rep_from_obj(obj[4]) if len(obj) > 4 else None
         return Leaf(obj[1], parse_word(obj[2]), obj[3], sub)

@@ -588,42 +588,73 @@ def cyclic_decompose(w: Word) -> tuple[Word, Word]:
     return p, c
 
 
-def cyclic_member(w: Word, c: Word) -> Optional[int]:
-    """The exponent k with w = c^k, or None.
+#: A cyclic generator c = p·core·p⁻¹, stored as (p, p⁻¹, core, core⁻¹).
+CyclicParts = tuple[Word, Word, Word, Word]
 
-    Exact for arbitrary words; runs in segment-proportional time.
-    """
+
+def cyclic_parts(c: Word) -> CyclicParts:
+    """Decompose the generator c once, for any number of :func:`cyclic_exponent`
+    tests against ⟨c⟩."""
     if c.is_identity():
         raise EmptyGenerator("cyclic subgroup generator must be non-trivial")
+    p, core = cyclic_decompose(c)
+    return p, p.inverse(), core, core.inverse()
+
+
+def cyclic_exponent(w: Word, parts: CyclicParts) -> Optional[int]:
+    """The exponent k with w = c^k, where ``parts = cyclic_parts(c)``, or None.
+
+    A non-trivial c^k is the reduced concatenation p·core^|k|·p⁻¹ (core
+    inverted when k < 0), so w is rejected, before any word is split, when
+    ``|w| - 2|p|`` is below |core| or not a multiple of it; then, when p ≠ e,
+    when w's first letter is not p's first or its last is not p⁻¹'s last;
+    or, when p = e, when its first letter is neither core's first nor
+    core⁻¹'s.  Each rejection is exact.  A word that passes is split and
+    compared in segment-proportional time.
+    """
     if w.is_identity():
         return 0
-    p, core = cyclic_decompose(c)
-    plen = p.length
-    if w.length < 2 * plen + core.length:
+    p, p_inv, core, core_inv = parts
+    plen = p._length
+    q, r = divmod(w._length - 2 * plen, core._length)
+    if q <= 0 or r:
         return None
     if plen:
+        if w.first != p.first or w.last != p_inv.last:
+            return None
         head, rest = split_at(w, plen)
         if head != p:
             return None
-        mid, tail = split_at(rest, rest.length - plen)
-        if tail != p.inverse():
+        mid, tail = split_at(rest, rest._length - plen)
+        if tail != p_inv:
             return None
     else:
         mid = w
-    q, r = divmod(mid.length, core.length)
-    if r != 0 or q == 0:
-        return None
-    if mid.first == core.first:
+    first = mid.first
+    if first == core.first:
         base, k = core, q
-    elif mid.first == -core.last:
-        base, k = core.inverse(), -q
+    elif first == core_inv.first:
+        base, k = core_inv, -q
     else:
         return None
     # mid is base^q exactly when it starts with base and has period |base|
-    head, rest = split_at(mid, base.length)
-    if head != base or rest != subword(mid, 0, rest.length):
+    head, rest = split_at(mid, base._length)
+    if head != base or rest != subword(mid, 0, rest._length):
         return None
     return k
+
+
+def cyclic_member(w: Word, c: Word) -> Optional[int]:
+    """The exponent k with w = c^k, or None.
+
+    Decomposes c on every call with :func:`cyclic_parts`, then tests w with
+    :func:`cyclic_exponent`, which rejects on w's length, then on its first
+    and last letters, before it splits any word.  A caller that tests many
+    words against one c (:class:`~assgp.nbhd.BaseSet`, the η check)
+    decomposes c once and calls :func:`cyclic_exponent` itself.  Raises
+    :class:`EmptyGenerator` when c = e.
+    """
+    return cyclic_exponent(w, cyclic_parts(c))
 
 
 def flatten_letters(w: Word, cap: int = MATERIALIZE_CAP) -> list[Letter]:

@@ -134,3 +134,39 @@ def test_every_public_definition_is_named_in_the_package():
     # code that only tests reach is deleted, not kept alive by its tests
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unnamed_public_definitions(sources) == UNNAMED_BY_DESIGN
+
+
+def imports_in_functions(source: str) -> list[int]:
+    """Lines of ``import`` and ``from … import`` statements inside a
+    function body, at any depth."""
+    return sorted(
+        {
+            inner.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_checker_finds_imports_in_functions():
+    source = (
+        "import os\n"
+        "class K:\n"
+        "    import re\n"
+        "    def m(self):\n"
+        "        from .words import E\n"
+        "def f():\n"
+        "    def g():\n"
+        "        import random\n"
+        "    return os\n"
+    )
+    assert imports_in_functions(source) == [5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_sit_in_the_module_import_block(path):
+    # no import cycle forces a deferred import: words imports nothing from
+    # the package, and each module imports only the ones below it
+    assert imports_in_functions(path.read_text()) == []

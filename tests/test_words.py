@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assgp import words as wd
+from assgp.nbhd import make_base
 from assgp.words import E, IdSet, Run
 
 from conftest import W, naive_mul, naive_reduce, rand_word
@@ -477,6 +478,66 @@ class TestSegmentComparator:
         else:
             assert got is None
 
+
+def _power_exponent(w, c):
+    """The k with w = c^k by brute force over |k| <= |w|, or None."""
+    return next((k for k in range(-w.length, w.length + 1) if wd.power(c, k) == w), None)
+
+
+def _conjugated(conj, core):
+    return conj * core * conj.inverse()
+
+
+generator_st = st.one_of(
+    # p != e whenever the conjugator survives reduction, e.g. a b a^-1
+    st.builds(_conjugated, pieces_st.map(_product), pieces_st.map(_product)),
+    st.builds(wd.fresh_run, st.integers(0, 6), st.integers(1, 6)),
+    st.builds(lambda start, k: wd.fresh_run(start, k).inverse(), st.integers(0, 6), st.integers(1, 6)),
+    st.sampled_from([W("a b a^-1"), W("a^-1 b c c a"), W("x[2..6] a x[2..6]^-1")]),
+).filter(lambda c: not c.is_identity())
+
+
+class TestCyclicParts:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_st, st.integers(-4, 4), st.data())
+    def test_member_and_base_match_brute_force(self, c, k, data):
+        ck = wd.flatten_letters(wd.power(c, k))
+        how = data.draw(st.sampled_from(["power", "boundary", "period", "prefix", "other"]))
+        if how == "power" or not ck:
+            letters = ck
+        elif how == "prefix":
+            # a prefix of c^(k±1) that is longer than c^k: the period of a
+            # power, with a length that may not be one
+            longer = wd.flatten_letters(wd.power(c, k + (1 if k > 0 else -1)))
+            letters = longer[: data.draw(st.integers(len(ck), len(longer)))]
+        elif how == "boundary":
+            # the length of c^k, with the first or the last letter changed
+            letters = _mutate(ck, data.draw(st.sampled_from([0, len(ck) - 1])), data)
+        elif how == "period" and len(ck) > 2:
+            # the boundary letters of c^k, with an inner letter changed
+            letters = _mutate(ck, data.draw(st.integers(1, len(ck) - 2)), data)
+        else:
+            letters = wd.flatten_letters(_product(data.draw(pieces_st)))
+        w = _resegment(letters, data)
+        want = _power_exponent(w, c)
+        if how == "power":
+            assert want == k
+        assert wd.cyclic_member(w, c) == want
+        assert wd.cyclic_exponent(w, wd.cyclic_parts(c)) == want
+        assert make_base(cyclic=[c]).contains(w) == (want is not None)
+        with pytest.raises(wd.EmptyGenerator):
+            wd.cyclic_member(w, E)
+
+    def test_parts_are_stored_once_and_do_not_compare(self):
+        gens = [W("a b a^-1"), wd.fresh_run(3, 5), W("b^-1 c")]
+        one = make_base(finite=[W("a"), W("a^-1")], cyclic=gens)
+        two = make_base(finite=[W("a^-1"), W("a")], cyclic=[W(str(c)) for c in reversed(gens)])
+        assert one == two and hash(one) == hash(two)
+        assert one.describe() == two.describe()
+        assert "_parts" not in repr(one)
+        assert one._parts == tuple(wd.cyclic_parts(c) for c in one.cyclic)
+        p, p_inv, core, core_inv = wd.cyclic_parts(W("a b a^-1"))
+        assert (p, p_inv, core, core_inv) == (W("a"), W("a^-1"), W("b"), W("b^-1"))
 
 def _alphabet(pairs):
     """An id set of intervals [lo, lo + width] from drawn (lo, width) pairs."""
