@@ -377,7 +377,7 @@ class ChainState:
         rep = ans.rep
         if ans.verdict == "unknown":
             level = system.enumerate(n, budget)
-            rep = next((system.lift(n, w, r, budget) for u, r in level if u == w), None)
+            rep = next((r for u, r in level if u == w), None)
         if rep is not None:
             return BasisAnswer(verdict="yes", rep=rep, stage=len(self.chain) - 1)
         return BasisAnswer(verdict=ans.verdict)
@@ -403,7 +403,11 @@ class ChainState:
         self, g: Word, h: Word, n: int, budget: Optional[Budget] = None
     ) -> dict:
         """A conjugator f with f·g·f⁻¹·h⁻¹ certified in the n-th neighbourhood,
-        so the conjugacy class of g meets U_n·h."""
+        so the conjugacy class of g meets U_n·h.
+
+        The E witness certifies f·g·f⁻¹·h⁻¹ at the depth of the condition it
+        adds, at least n; that certificate holds in the last condition too,
+        and nesting it with x = e carries it down to level n."""
         if g.is_identity():
             raise TrivialG("conjugacy density needs g != e")
         budget = budget or self.budget
@@ -418,9 +422,13 @@ class ChainState:
         expected = multiply(multiply(multiply(f, g), f.inverse()), h.inverse())
         if expected != target:
             raise ChainError("cached conjugacy witness fails re-verification")
-        basis = self.basis_member(n, target, budget)
-        if not basis.is_yes:
+        system = self.chain[-1].system
+        rep = _read(rep_from_obj, rec["rep"])
+        for i in range(rec["level"] - 1, n - 1, -1):
+            rep = Conj(i, E, rep, system.identity_rep(i + 1))
+        if not system.verify_rep(n, target, rep)[0]:
             raise ChainError("conjugacy witness lost its membership certificate")
+        basis = BasisAnswer(verdict="yes", rep=rep, stage=len(self.chain) - 1)
         return {"f": f, "witness": target, "stage": basis.stage, "basis": basis}
 
     def assgp_certificate(self, n: int, g: Word, budget: Optional[Budget] = None) -> CycCert:
@@ -471,8 +479,7 @@ class ChainState:
             pool = sys_.enumerate(n + 1, budget)[: max(2, samples)]
             for (u, urep), (v, vrep) in itertools.product(pool, pool):
                 w = multiply(u, v)
-                left = sys_.lift(n + 1, u, urep, budget)
-                rep = Conj(n, E, left, sys_.lift(n + 1, v, vrep, budget))
+                rep = Conj(n, E, urep, vrep)
                 ok, why = sys_.verify_rep(n, w, rep)
                 if not ok:
                     # systems without conjugation structure (all-{e} levels)
@@ -485,7 +492,7 @@ class ChainState:
 
         for n in range(cond.depth + 1):
             for w, rep in sys_.enumerate(n, budget)[: max(2, samples)]:
-                inv = invert_rep(sys_.lift(n, w, rep, budget))
+                inv = invert_rep(rep)
                 ok, why = sys_.verify_rep(n, w.inverse(), inv)
                 note("symmetry", ok, f"inverse of {w} at level {n}: {why}")
 
@@ -502,8 +509,7 @@ class ChainState:
                 m = n + l
                 pool = sys_.enumerate(m, budget)[: max(2, samples // 2)]
                 for w, wrep in pool:
-                    cur = sys_.lift(m, w, wrep, budget)
-                    level = m
+                    cur, level = wrep, m
                     for letter_val in reversed(flatten_letters(g)):
                         level -= 1
                         x = single(gen_of(letter_val), 1 if letter_val > 0 else -1)

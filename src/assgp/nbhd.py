@@ -14,11 +14,14 @@ x = e), with ``e ∈ U_n``.  Systems here are built, never materialized:
   ``Σ|lett(a_l)| ≤ |X|·4^(n-i)`` holds.
 
 Membership in a level is certificate search.  A certificate is a derivation
-tree: leaves assert containment in a base layer or in the adjoined set B,
-inner nodes assert ``w = x·u·v·x⁻¹`` with u, v certified one level deeper.
-Flattening a tree yields the factor sequence a_1 · ... · a_m whose product is
-the certified word; certificates re-verify by multiplying that sequence back
-together, independently of the search that found them.
+tree: a leaf names the layer of the stack that holds its word (an adjoined
+set B, a padded {e} level or the root), inner nodes assert
+``w = x·u·v·x⁻¹`` with u, v certified one level deeper.  Flattening a tree
+yields the factor sequence a_1 · ... · a_m whose product is the certified
+word; certificates re-verify against the stack by multiplying that sequence
+back together, independently of the search that found them.  Every level of
+a layer lies in the same level of each system stacked on it, so a
+certificate made in one layer verifies unchanged in all of them.
 
 Verdicts are three-valued.  ``yes`` always carries a re-verifiable
 certificate.  ``no`` is only returned when refutation is exact: the word
@@ -114,8 +117,7 @@ DEFAULT_BUDGET = Budget()
 class Leaf:
     level: int
     word: Word
-    origin: str  # "extra" | "base" | "trivial" | "explicit" | "pad"
-    sub: "Rep | None" = None
+    origin: str  # "extra" | "trivial" | "explicit" | "pad"
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,7 @@ def invert_rep(rep):
     """Certificate for the inverse word; valid because levels and base sets
     are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹."""
     if isinstance(rep, Leaf):
-        sub = invert_rep(rep.sub) if rep.sub is not None else None
-        return Leaf(rep.level, rep.word.inverse(), rep.origin, sub)
+        return Leaf(rep.level, rep.word.inverse(), rep.origin)
     return Conj(rep.level, rep.x, invert_rep(rep.right), invert_rep(rep.left))
 
 
@@ -281,15 +282,18 @@ class _SearchCtx:
 class Nsys:
     """Abstract finite neighbourhood system.  Immutable; compared by identity.
 
-    A layer keeps only what its levels determine: the enumeration lists,
-    which depend on (level, budget), and the exact level sets."""
+    A layer keeps its base (None at a root) and only what its levels
+    determine: the enumeration lists, which depend on (level, budget), and
+    the exact level sets."""
 
     alphabet: IdSet
     depth: int
+    base: "Nsys | None"
 
-    def __init__(self, alphabet: IdSet, depth: int):
+    def __init__(self, alphabet: IdSet, depth: int, base: "Nsys | None" = None):
         self.alphabet = alphabet
         self.depth = depth
+        self.base = base
         self._enum_cache: dict = {}
         self._exact: object = _UNSET
 
@@ -326,7 +330,8 @@ class Nsys:
 
     def enumerate(self, i: int, budget: Budget = DEFAULT_BUDGET) -> list[tuple[Word, object]]:
         """Level i's members as (word, certificate) pairs, sorted and cached.
-        An inherited level is the base's list object, certificates included."""
+        An inherited level is the base's list object: a certificate made in
+        the base is already one of this layer's."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         key = (i, budget.key())
@@ -338,7 +343,7 @@ class Nsys:
             layer = self
             while key not in layer._enum_cache:
                 cold.append(layer)
-                if not isinstance(layer, (EnrichedNsys, PaddedNsys)) or i > layer.base.depth:
+                if layer.base is None or i > layer.base.depth:
                     break
                 layer = layer.base
             for layer in reversed(cold):
@@ -347,22 +352,6 @@ class Nsys:
 
     def _enumerate(self, i, budget):
         raise NotImplementedError
-
-    def lift(self, i: int, w: Word, rep, budget: Budget = DEFAULT_BUDGET):
-        """This layer's certificate for an item (w, rep) of ``enumerate(i)``:
-        walk down while the base's level-i list is this layer's list, and wrap
-        rep in one ``base`` leaf for each enriched layer passed (a padded
-        layer's levels up to its base's depth take its base's certificates)."""
-        key = (i, budget.key())
-        level = self.enumerate(i, budget)
-        layer = self
-        while isinstance(layer, (EnrichedNsys, PaddedNsys)):
-            if layer.base._enum_cache.get(key) is not level:
-                break
-            if isinstance(layer, EnrichedNsys):
-                rep = Leaf(i, w, "base", rep)
-            layer = layer.base
-        return rep
 
     def _enum_support(self, i: int, budget: Budget) -> IdSet:
         key = ("support", i, budget.key())
@@ -384,10 +373,22 @@ class Nsys:
         raise NotImplementedError
 
     def identity_rep(self, i: int):
-        raise NotImplementedError
+        """The certificate of e at level i: the leaf of the first layer down
+        the stack that holds e at level i itself."""
+        layer = self
+        while (rep := layer._own_identity(i)) is None:
+            layer = layer.base
+        return rep
+
+    def _own_identity(self, i: int):
+        """This layer's own leaf for e at level i, or None to ask the base."""
+        return None
 
     def verify_rep(self, i: int, w: Word, rep) -> tuple[bool, str]:
-        """Independent re-check: structure, leaf claims, and flatten+multiply."""
+        """Independent re-check against this stack: structure, leaf claims,
+        and flatten+multiply."""
+        if not 0 <= i <= self.depth:
+            return False, f"level {i} outside 0..{self.depth}"
         ok, why = self._verify_structure(i, rep)
         if not ok:
             return False, why
@@ -395,7 +396,53 @@ class Nsys:
             return False, "factor product differs from certified word"
         return True, ""
 
-    def _verify_structure(self, i, rep) -> tuple[bool, str]:
+    def _verify_structure(self, i: int, rep) -> tuple[bool, str]:
+        """A leaf holds when a layer at or below this one vouches for it.  A
+        conjugation node at level i holds when the layer owning level i is
+        an enriched layer deeper than i, its conjugator is e or a letter of
+        the alphabet, and both factors hold at level i + 1: that layer's
+        level i contains x·V_{i+1}·V_{i+1}·x⁻¹, and this system's levels i
+        and i + 1 contain that layer's."""
+        todo = [(i, rep)]
+        while todo:
+            i, node = todo.pop()
+            if isinstance(node, Leaf):
+                if node.level != i:
+                    return False, "leaf level mismatch"
+                if not self._vouched(node):
+                    return False, f"no layer holds the {node.origin} leaf {node.word} at level {i}"
+            elif isinstance(node, Conj):
+                owner = self._owner(i)
+                if node.level != i or not isinstance(owner, EnrichedNsys) or i >= owner.depth:
+                    return False, "conjugation node at an invalid level"
+                x = node.x
+                if not x.is_identity():
+                    if x.length != 1 or not supported_in(x, self.alphabet):
+                        return False, "conjugator is not an ambient letter"
+                todo.append((i + 1, node.right))
+                todo.append((i + 1, node.left))
+            else:
+                return False, "unknown certificate node"
+        return True, ""
+
+    def _owner(self, i: int) -> "Nsys":
+        """The layer that builds level i: walk down past the padded layers
+        that copy level i from their base."""
+        layer = self
+        while isinstance(layer, PaddedNsys) and i <= layer.base.depth:
+            layer = layer.base
+        return layer
+
+    def _vouched(self, leaf: Leaf) -> bool:
+        layer = self
+        while layer is not None and layer.depth >= leaf.level:
+            if layer._vouches(leaf):
+                return True
+            layer = layer.base
+        return False
+
+    def _vouches(self, leaf: Leaf) -> bool:
+        """Does this layer's own part of level ``leaf.level`` hold the leaf?"""
         raise NotImplementedError
 
     def ancestors(self, stop: "Nsys | None" = None) -> list["Nsys"]:
@@ -406,7 +453,7 @@ class Nsys:
         layer = self
         while layer is not stop:
             out.append(layer)
-            if not isinstance(layer, (EnrichedNsys, PaddedNsys)):
+            if layer.base is None:
                 if stop is not None:
                     raise NbhdError("system is not stacked on the given one")
                 break
@@ -439,15 +486,11 @@ class TrivialNsys(Nsys):
     def _exact_levels(self):
         return [{E: Leaf(i, E, "trivial")} for i in range(self.depth + 1)]
 
-    def identity_rep(self, i):
+    def _own_identity(self, i):
         return Leaf(i, E, "trivial")
 
-    def _verify_structure(self, i, rep):
-        if isinstance(rep, Leaf) and rep.level == i and rep.origin == "trivial":
-            if rep.word.is_identity():
-                return True, ""
-            return False, "trivial leaf must certify e"
-        return False, "trivial system expects a trivial leaf"
+    def _vouches(self, leaf):
+        return leaf.origin == "trivial" and leaf.word.is_identity()
 
     def node_obj(self):
         return {"kind": "trivial", "alphabet": self.alphabet.intervals, "depth": self.depth}
@@ -478,17 +521,13 @@ class ExplicitNsys(Nsys):
             for i, level in enumerate(self.levels)
         ]
 
-    def identity_rep(self, i):
+    def _own_identity(self, i):
         if E not in self.levels[i]:
             raise NbhdError("explicit system lacks e at level %d" % i)
         return Leaf(i, E, "explicit")
 
-    def _verify_structure(self, i, rep):
-        if isinstance(rep, Leaf) and rep.level == i and rep.origin == "explicit":
-            if rep.word in self.levels[i]:
-                return True, ""
-            return False, "explicit leaf word not in level"
-        return False, "explicit system expects an explicit leaf"
+    def _vouches(self, leaf):
+        return leaf.origin == "explicit" and leaf.word in self.levels[leaf.level]
 
 
 class PaddedNsys(Nsys):
@@ -497,8 +536,7 @@ class PaddedNsys(Nsys):
     def __init__(self, base: Nsys, depth: int):
         if depth <= base.depth:
             raise NbhdError("padding must increase depth")
-        super().__init__(base.alphabet, depth)
-        self.base = base
+        super().__init__(base.alphabet, depth, base)
 
     def _own_answer(self, i, w, ctx):
         if i <= self.base.depth:
@@ -523,19 +561,13 @@ class PaddedNsys(Nsys):
             {E: Leaf(i, E, "pad")} for i in range(self.base.depth + 1, self.depth + 1)
         ]
 
-    def identity_rep(self, i):
-        if i <= self.base.depth:
-            return self.base.identity_rep(i)
-        return Leaf(i, E, "pad")
+    def _own_identity(self, i):
+        return Leaf(i, E, "pad") if i > self.base.depth else None
 
-    def _verify_structure(self, i, rep):
-        if i <= self.base.depth:
-            return self.base._verify_structure(i, rep)
-        if isinstance(rep, Leaf) and rep.level == i and rep.origin == "pad":
-            if rep.word.is_identity():
-                return True, ""
-            return False, "pad leaf must certify e"
-        return False, "padded level expects a pad leaf"
+    def _vouches(self, leaf):
+        return (
+            leaf.origin == "pad" and leaf.level > self.base.depth and leaf.word.is_identity()
+        )
 
     def node_obj(self):
         return {"kind": "pad", "depth": self.depth}
@@ -548,7 +580,7 @@ class EnrichedNsys(Nsys):
     for x in the ambient alphabet's letters and e.  Without exact level sets, a
     level i < n whose base level enumerates ``budget.nodes`` words is inherited
     (the conjugation pass could add nothing): :meth:`_enumerate` returns the
-    base's list itself, and :meth:`Nsys.lift` makes its certificates this layer's.
+    base's list itself, whose certificates verify in this layer unchanged.
 
     ``bounded_base_size`` is set when this layer is a cyclic fresh-letter or
     {e} enrichment, in which case the letter-count bound over the base
@@ -562,8 +594,7 @@ class EnrichedNsys(Nsys):
         alphabet: IdSet,
         bounded_base_size: Optional[int] = None,
     ):
-        super().__init__(alphabet, base.depth)
-        self.base = base
+        super().__init__(alphabet, base.depth, base)
         self.extra = extra
         self.bounded_base_size = bounded_base_size
 
@@ -590,7 +621,7 @@ class EnrichedNsys(Nsys):
 
     def _after_base(self, i, w, base_ans, ctx):
         if base_ans.is_yes:
-            return _yes(Leaf(i, w, "base", base_ans.rep))
+            return base_ans
         if i == self.depth:
             if self.extra.contains(w):
                 return _yes(Leaf(i, w, "extra"))
@@ -623,7 +654,7 @@ class EnrichedNsys(Nsys):
                 v = multiply(u.inverse(), wx)
                 vans = self._member(i + 1, v, ctx)
                 if vans.is_yes:
-                    return _yes(Conj(i, x, self.lift(i + 1, u, urep, ctx.budget), vans.rep))
+                    return _yes(Conj(i, x, urep, vans.rep))
         # With a cyclic base present the level is infinite; a failed bounded
         # search is not a refutation.
         return _unknown("bounded search found no certificate")
@@ -637,7 +668,7 @@ class EnrichedNsys(Nsys):
         base = self.base.enumerate(i, budget)
         if i < self.depth and len(base) >= budget.nodes:
             return base
-        items = {w: Leaf(i, w, "base", r) for w, r in base}
+        items = dict(base)
         if i == self.depth:
             for w in self.extra.enumerate(budget):
                 items.setdefault(w, Leaf(i, w, "extra"))
@@ -654,23 +685,21 @@ class EnrichedNsys(Nsys):
             lo = max(0, rank - m + 1)
             for iu in range(lo, min(rank, m - 1) + 1):
                 iv = rank - iu
-                (u, _), (v, _) = inner[iu], inner[iv]
-                uv.setdefault(multiply(u, v), (iu, iv))
+                (u, urep), (v, vrep) = inner[iu], inner[iv]
+                uv.setdefault(multiply(u, v), (urep, vrep))
                 pairs_seen += 1
                 if len(uv) >= budget.nodes or pairs_seen >= pair_cap:
                     break
         # Interleave conjugators across products so the cap cannot starve any
         # single x of coverage.
         conjs = [(x, x.inverse()) for x in _conjugators(self.alphabet)]
-        for prod, pair in uv.items():
+        for prod, (urep, vrep) in uv.items():
             if len(items) >= budget.nodes:
                 break
-            lifted = None  # the pair's certificates, lifted at its first insert
             for x, xi in conjs:
                 w = multiply(multiply(x, prod), xi)
                 if w not in items:
-                    lifted = lifted or [self.lift(i + 1, *inner[k], budget) for k in pair]
-                    items[w] = Conj(i, x, *lifted)
+                    items[w] = Conj(i, x, urep, vrep)
                 if len(items) >= budget.nodes:
                     break
         return sorted(items.items(), key=lambda kv: word_key(kv[0]))
@@ -684,17 +713,13 @@ class EnrichedNsys(Nsys):
         if self.alphabet.size > 16:
             return None
         levels: list[dict[Word, object]] = [dict() for _ in range(self.depth + 1)]
-        top: dict[Word, object] = {}
-        for w, r in below[self.depth].items():
-            top[w] = Leaf(self.depth, w, "base", r)
+        top = dict(below[self.depth])
         for w in self.extra.finite:
             top.setdefault(w, Leaf(self.depth, w, "extra"))
         levels[self.depth] = top
         conjs = _conjugators(self.alphabet)
         for i in range(self.depth - 1, -1, -1):
-            cur: dict[Word, object] = {}
-            for w, r in below[i].items():
-                cur[w] = Leaf(i, w, "base", r)
+            cur = dict(below[i])
             above = levels[i + 1]
             if len(above) * len(above) * len(conjs) > EXACT_WORK_CAP:
                 return None
@@ -710,41 +735,8 @@ class EnrichedNsys(Nsys):
             levels[i] = cur
         return levels
 
-    def identity_rep(self, i):
-        return Leaf(i, E, "base", self.base.identity_rep(i))
-
-    def _verify_structure(self, i, rep):
-        if isinstance(rep, Leaf):
-            if rep.level != i:
-                return False, "leaf level mismatch"
-            if rep.origin == "extra":
-                if i != self.depth:
-                    return False, "adjoined-set leaves live at the deepest level"
-                if not self.extra.contains(rep.word):
-                    return False, "leaf word not in the adjoined set"
-                return True, ""
-            if rep.origin == "base":
-                if rep.sub is None:
-                    return False, "base leaf missing inner certificate"
-                ok, why = self.base._verify_structure(i, rep.sub)
-                if not ok:
-                    return False, why
-                if rep_word(rep.sub) != rep.word:
-                    return False, "inner certificate certifies a different word"
-                return True, ""
-            return False, f"unexpected leaf origin {rep.origin!r}"
-        if isinstance(rep, Conj):
-            if rep.level != i or i >= self.depth:
-                return False, "conjugation node at an invalid level"
-            x = rep.x
-            if not x.is_identity():
-                if x.length != 1 or not supported_in(x, self.alphabet):
-                    return False, "conjugator is not an ambient letter"
-            ok, why = self._verify_structure(i + 1, rep.left)
-            if not ok:
-                return False, why
-            return self._verify_structure(i + 1, rep.right)
-        return False, "unknown certificate node"
+    def _vouches(self, leaf):
+        return leaf.origin == "extra" and leaf.level == self.depth and self.extra.contains(leaf.word)
 
     def node_obj(self):
         obj = {"kind": "enrich", "alphabet": self.alphabet.intervals, "extra": self.extra.describe()}
@@ -822,7 +814,9 @@ def identity_extension(U: Nsys, fresh: IdSet) -> EnrichedNsys:
 
 
 def letter_bound_check(rep, base_alphabet_size: int, n: int, i: int) -> bool:
-    """Σ|lett(a_l)| over the flattened factors against |X|·4^(n-i)."""
+    """Σ|lett(a_l)| over the flattened factors against |X|·4^(n-i).  The
+    factors run down to the leaves, so a member that the certificate takes
+    from a base layer counts with the factors of its own certificate there."""
     total = sum(letters(f).size for f in flatten_factors(rep))
     return total <= base_alphabet_size * 4 ** (n - i)
 
@@ -869,17 +863,13 @@ def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:
 
 def rep_to_obj(rep) -> list:
     if isinstance(rep, Leaf):
-        out = ["leaf", rep.level, str(rep.word), rep.origin]
-        if rep.sub is not None:
-            out.append(rep_to_obj(rep.sub))
-        return out
+        return ["leaf", rep.level, str(rep.word), rep.origin]
     return ["conj", rep.level, str(rep.x), rep_to_obj(rep.left), rep_to_obj(rep.right)]
 
 
 def rep_from_obj(obj) -> object:
-    if obj[0] == "leaf":
-        sub = rep_from_obj(obj[4]) if len(obj) > 4 else None
-        return Leaf(obj[1], parse_word(obj[2]), obj[3], sub)
-    if obj[0] == "conj":
+    if obj[0] == "leaf" and len(obj) == 4:
+        return Leaf(obj[1], parse_word(obj[2]), obj[3])
+    if obj[0] == "conj" and len(obj) == 5:
         return Conj(obj[1], parse_word(obj[2]), rep_from_obj(obj[3]), rep_from_obj(obj[4]))
     raise NbhdError(f"bad certificate node {obj!r}")

@@ -59,7 +59,7 @@ def shared_level_stack():
     inverse (51 words, at least SHARED_BUDGET.nodes) and whose levels 0 and
     2 are {e}.  At SHARED_BUDGET the extension's level 1 is the base's list
     and its level 0 is built from it, so the conjugation nodes of level 0
-    hold lifted certificates."""
+    hold certificates made in the base."""
     letters = (1, -1, 2, -2)  # a, a^-1, b, b^-1
     words = {wd.reduce(list(t)) for n in range(4) for t in itertools.product(letters, repeat=n)}
     ab = wd.parse_word("a b")

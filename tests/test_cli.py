@@ -160,6 +160,8 @@ class TestStateCommands:
         edits = [
             lambda o: o["certs"][d_key]["cyc"].update(target="zz"),
             lambda o: o["certs"][e_key].update(g0="zz"),
+            # a leaf holds no inner certificate
+            lambda o: o["certs"][e_key]["rep"].append(["leaf", 0, "e", "trivial"]),
             lambda o: o["retry_queue"].append(["Q:zz", 1]),
             lambda o: o["certs"][e_key].update(stage=999),
             lambda o: o["certs"][e_key].update(stage="1"),

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -26,6 +27,7 @@ AB = IdSet.of(0, 1)
 a = single(0)
 b = single(1)
 y = single(24)
+z = single(25)
 
 
 class TestTrivial:
@@ -194,8 +196,8 @@ class TestEnumeration:
 class TestEnumerationCap:
     def test_full_base_level_is_the_level(self):
         # U's level 0 already holds `nodes` words, so V's conjugation pass
-        # could add nothing: V's level 0 is U's list, and lifting one of its
-        # certificates wraps it in one base leaf
+        # could add nothing: V's level 0 is U's list, and each of its
+        # certificates verifies in V unchanged
         bud = Budget(6, 2, 10)
         U = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
         base = U.enumerate(0, bud)
@@ -203,7 +205,7 @@ class TestEnumerationCap:
         V = identity_extension(U, IdSet.of(25))
         assert V.enumerate(0, bud) is base
         for w, r in base:
-            assert V.lift(0, w, r, bud) == Leaf(0, w, "base", r)
+            assert V.verify_rep(0, w, r) == (True, "")
         assert (1, bud.key()) not in V._enum_cache
 
     def test_level_below_cap_gains_conjugates(self):
@@ -219,7 +221,7 @@ class TestEnumerationCap:
 
 class TestLift:
     """An inherited level is the base's list; a certificate built from one
-    of its items is lifted into the layer that builds it."""
+    of its items verifies in the layer that builds it unchanged."""
 
     def test_level_built_from_a_shared_level_verifies(self):
         V = shared_level_stack()
@@ -228,7 +230,6 @@ class TestLift:
         assert items is not V.base.enumerate(0, SHARED_BUDGET)
         assert any(isinstance(r, Conj) for _, r in items)
         for w, rep in items:
-            assert V.lift(0, w, rep, SHARED_BUDGET) is rep
             assert V.verify_rep(0, w, rep) == (True, "")
 
     def test_member_through_a_shared_level_verifies(self):
@@ -237,6 +238,98 @@ class TestLift:
         ans = V.member(0, ab, SHARED_BUDGET)
         assert ans.is_yes and isinstance(ans.rep, Conj)
         assert V.verify_rep(0, ab, ans.rep) == (True, "")
+
+
+class TestVerifier:
+    """verify_rep reads the stack: a leaf holds when a layer at or below the
+    system holds its word, a conjugation node when the layer that builds its
+    level closes that level under conjugation.  The stack: T = {e}-levels
+    over a, b of depth 2; V adjoins ⟨y⟩ at level 2; P pads to depth 4; Q
+    adjoins ⟨z⟩ at level 4."""
+
+    def stack(self):
+        T = trivial_system(AB, 2)
+        V = cyclic_alphabet_extension(T, IdSet.of(24))
+        P = nbhd.pad_system(V, 4)
+        Q = cyclic_alphabet_extension(P, IdSet.of(25))
+        return T, V, P, Q
+
+    def refused(self, system, i, w, rep, why):
+        ok, reason = system.verify_rep(i, w, rep)
+        assert not ok and why in reason, reason
+
+    def test_extra_leaf_away_from_its_layer_depth(self):
+        T, V, P, Q = self.stack()
+        assert Q.verify_rep(2, y, Leaf(2, y, "extra")) == (True, "")
+        self.refused(V, 1, y, Leaf(1, y, "extra"), "no layer holds")
+        self.refused(Q, 2, z, Leaf(2, z, "extra"), "no layer holds")
+
+    def test_extra_leaf_outside_every_adjoined_set(self):
+        T, V, P, Q = self.stack()
+        self.refused(Q, 2, a, Leaf(2, a, "extra"), "no layer holds")
+        self.refused(Q, 4, y, Leaf(4, y, "extra"), "no layer holds")
+
+    def test_pad_leaf_at_or_below_its_base_depth(self):
+        T, V, P, Q = self.stack()
+        assert Q.verify_rep(3, E, Leaf(3, E, "pad")) == (True, "")
+        self.refused(Q, 2, E, Leaf(2, E, "pad"), "no layer holds")
+        self.refused(P, 1, E, Leaf(1, E, "pad"), "no layer holds")
+        self.refused(P, 3, a, Leaf(3, a, "pad"), "no layer holds")
+
+    def test_trivial_leaf_for_a_word_other_than_e(self):
+        T, V, P, Q = self.stack()
+        assert Q.verify_rep(0, E, Leaf(0, E, "trivial")) == (True, "")
+        self.refused(Q, 0, a, Leaf(0, a, "trivial"), "no layer holds")
+        self.refused(T, 1, y, Leaf(1, y, "trivial"), "no layer holds")
+
+    def test_leaf_of_a_retired_origin(self):
+        T, V, P, Q = self.stack()
+        self.refused(V, 0, E, Leaf(0, E, "base"), "no layer holds")
+
+    def test_leaf_level_must_match_its_position(self):
+        T, V, P, Q = self.stack()
+        self.refused(V, 1, y, Leaf(2, y, "extra"), "leaf level mismatch")
+        self.refused(V, 3, E, Leaf(3, E, "trivial"), "outside 0..2")
+
+    def test_conjugation_at_a_pad_level_or_a_layer_depth(self):
+        T, V, P, Q = self.stack()
+        pad4 = Leaf(4, E, "pad")
+        self.refused(P, 3, E, Conj(3, E, pad4, pad4), "invalid level")
+        self.refused(V, 2, y, Conj(2, E, Leaf(3, y, "extra"), Leaf(3, E, "pad")), "invalid level")
+        self.refused(Q, 4, E, Conj(4, E, Leaf(5, E, "pad"), Leaf(5, E, "pad")), "invalid level")
+        self.refused(T, 0, E, Conj(0, E, Leaf(1, E, "trivial"), Leaf(1, E, "trivial")), "invalid level")
+        # below the pad, the levels are V's, which conjugation closes
+        ok = Conj(1, a, Leaf(2, y, "extra"), Leaf(2, E, "trivial"))
+        assert Q.verify_rep(1, multiply(multiply(a, y), a.inverse()), ok) == (True, "")
+
+    def test_conjugator_outside_the_alphabet(self):
+        T, V, P, Q = self.stack()
+        e1 = Leaf(1, E, "trivial")
+        self.refused(V, 0, E, Conj(0, z, e1, e1), "not an ambient letter")
+        self.refused(V, 0, E, Conj(0, W("a b"), e1, e1), "not an ambient letter")
+        assert Q.verify_rep(0, E, Conj(0, z, e1, e1)) == (True, "")
+
+    def test_factor_product_differs_from_the_word(self):
+        T, V, P, Q = self.stack()
+        rep = Conj(1, a, Leaf(2, y, "extra"), Leaf(2, y, "extra"))
+        self.refused(V, 1, multiply(a, power(y, 2)), rep, "factor product differs")
+        self.refused(V, 2, power(y, 2), Leaf(2, y, "extra"), "factor product differs")
+
+    def test_descendant_certificate_refused_by_its_ancestor(self):
+        T, V, P, Q = self.stack()
+        w = multiply(multiply(b, power(y, 2)), b.inverse())
+        ans = V.member(0, w)
+        assert ans.is_yes and Q.verify_rep(0, w, ans.rep) == (True, "")
+        self.refused(T, 0, w, ans.rep, "")
+        zans = Q.member(4, z)
+        assert zans.is_yes and Q.verify_rep(4, z, zans.rep) == (True, "")
+        self.refused(P, 4, z, zans.rep, "no layer holds")
+
+    def test_rep_from_obj_refuses_a_nested_leaf(self):
+        with pytest.raises(nbhd.NbhdError):
+            nbhd.rep_from_obj(["leaf", 0, "e", "base", ["leaf", 0, "e", "trivial"]])
+        with pytest.raises(nbhd.NbhdError):
+            nbhd.rep_from_obj(["leaf", 0, "e"])
 
 
 class TestMonotonicity:
@@ -321,6 +414,24 @@ class TestSerialization:
         finally:
             sys.setrecursionlimit(limit)
         assert items[0][0] == E and len(items) == 120
+        assert (E, rebuilt.identity_rep(0)) in items
+        assert verdict == (True, "")
+
+    def test_certificate_of_a_stack_deeper_than_the_recursion_limit(self):
+        # a certificate names the layer that holds each leaf, so neither its
+        # size nor its checks grow with the number of layers stacked on it
+        U = trivial_system(A, 1)
+        for gid in range(30, 1230):
+            U = cyclic_alphabet_extension(U, IdSet.of(gid))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            ans = U.member(1, E)
+            text = json.dumps(nbhd.rep_to_obj(ans.rep))
+            verdict = U.verify_rep(1, E, nbhd.rep_from_obj(json.loads(text)))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ans.is_yes and ans.rep == Leaf(1, E, "trivial")
         assert verdict == (True, "")
 
     def test_exhausted_search_skips_enumeration(self, monkeypatch):
