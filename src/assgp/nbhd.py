@@ -30,6 +30,20 @@ level is a literal {e}, or the whole system expands to small finite sets.
 Everything else is ``unknown``: once a cyclic base is present the level sets
 are infinite and bounded search cannot refute.
 
+A search node tests a word's letters only where the alphabet can reject
+it.  Each layer's level lists are made of its own letters (an enriched
+layer refuses a base or an adjoined set with others, an explicit one a
+word with others), so every word that an enriched layer's search builds,
+the word it nests one level down and each u⁻¹·x⁻¹·w·x for a listed u and a
+letter x, lies in that layer's alphabet.  So a layer skips the test when
+its alphabet is the very set of the layer whose search built the word (a
+pad's base shares the pad's set), and every other enriched layer tests it:
+in a stack, alphabets only narrow downwards, so those are the layers where
+the word can fail.  The word a query asks about is tested by the first
+enriched layer it reaches.  A pad tests nothing, so it never vouches for a
+word's letters.  Answers whose reason is fixed are shared
+frozen objects, one per reason.
+
 An answer depends only on (system, level, word, budget).  Systems keep no
 verdicts between searches; a search remembers what it has decided only
 until it returns (see :meth:`Nsys.member`).
@@ -180,6 +194,19 @@ def _unknown(reason) -> MembershipAnswer:
     return MembershipAnswer("unknown", None, reason)
 
 
+# The answers whose reason is fixed.  MembershipAnswer is frozen, so each is
+# one shared object, handed out by every search node that gives it.
+_NO_TRIVIAL = _no("trivial system: level is {e}")
+_NO_EXPLICIT = _no("not in the explicit level set")
+_NO_PADDED = _no("padded level is {e}")
+_NO_LETTERS = _no("letters outside the ambient alphabet")
+_NO_EXACT = _no("absent from the exact level set")
+_NO_BASE_OR_EXTRA = _no("neither in the base level nor the adjoined set")
+_UNKNOWN_BASE = _unknown("base level undecided")
+_UNKNOWN_BUDGET = _unknown("search budget exhausted")
+_UNKNOWN_SEARCH = _unknown("bounded search found no certificate")
+
+
 # ---------------------------------------------------------------------------
 # Base sets
 # ---------------------------------------------------------------------------
@@ -209,12 +236,6 @@ class BaseSet:
         if w.is_identity() and self.cyclic:
             return True
         return any(cyclic_exponent(w, parts) is not None for parts in self._parts)
-
-    def support(self) -> IdSet:
-        sup = IdSet.empty()
-        for w in self.finite + self.cyclic:
-            sup = sup.union(letters(w))
-        return sup
 
     def enumerate(self, budget: Budget) -> list[Word]:
         out: dict[Word, None] = {}
@@ -269,7 +290,10 @@ def _conjugators(ids: IdSet) -> list[Word]:
 
 class _SearchCtx:
     """One ``member`` search: its node budget, and the verdict of each layer
-    that asked its base, keyed by (layer, level, word), for that search only."""
+    that asked its base, keyed by (layer, level, word), for that search only.
+    A verdict does not depend on whether the layer tested the word's letters
+    or knew them to lie in its alphabet, so one entry serves every path of
+    the search to it; entries with a fixed reason are the shared answers."""
 
     __slots__ = ("budget", "nodes_left", "memo")
 
@@ -304,26 +328,37 @@ class Nsys:
         answer depends only on (system, i, w, budget).  A search node is an
         enriched layer's nesting step or one conjugation candidate; handing
         a level to the base costs none, so the budget reaches a deep stack's
-        lowest layers."""
+        lowest layers.  w's letters are tested by the first enriched layer
+        it reaches; a word the search builds is tested only by the layers
+        below the searching one whose alphabet is narrower (see the module
+        docstring).  An answer with a fixed reason is a shared frozen
+        object: compare answers by value."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         return self._member(i, w, _SearchCtx(budget))
 
-    def _member(self, i: int, w: Word, ctx: _SearchCtx) -> MembershipAnswer:
+    def _member(
+        self, i: int, w: Word, ctx: _SearchCtx, within: "IdSet | None" = None
+    ) -> MembershipAnswer:
         # Walk down the layers that hand level i to their base, then answer
         # root-upwards into the memo: a deep stack does not recurse per layer.
+        # ``within`` is the alphabet of the enriched layer whose search built
+        # w, which w lies in; None for the word a query asks about.
         passed = []
         layer = self
-        while (ans := ctx.memo.get((id(layer), i, w)) or layer._own_answer(i, w, ctx)) is None:
+        while (ans := ctx.memo.get((id(layer), i, w)) or layer._own_answer(i, w, ctx, within)) is None:
             passed.append(layer)
             layer = layer.base
         for layer in reversed(passed):
             ans = ctx.memo[(id(layer), i, w)] = layer._after_base(i, w, ans, ctx)
         return ans
 
-    def _own_answer(self, i: int, w: Word, ctx: _SearchCtx) -> "MembershipAnswer | None":
+    def _own_answer(
+        self, i: int, w: Word, ctx: _SearchCtx, within: "IdSet | None"
+    ) -> "MembershipAnswer | None":
         """The answer this layer gives without its base, or None to ask the
-        base; ``_after_base(i, w, base_answer, ctx)`` then gives the answer."""
+        base; ``_after_base(i, w, base_answer, ctx)`` then gives the answer.
+        ``within`` is an alphabet known to hold w's letters, or None."""
         raise NotImplementedError
 
     # -- enumeration ----------------------------------------------------------
@@ -353,13 +388,18 @@ class Nsys:
     def _enumerate(self, i, budget):
         raise NotImplementedError
 
-    def _enum_support(self, i: int, budget: Budget) -> IdSet:
-        key = ("support", i, budget.key())
+    def _enum_search(self, i: int, budget: Budget) -> tuple[list[Word], IdSet]:
+        """The inverse of each word of level i's list, in list order, and the
+        letters the list uses: what the conjugation search reads from it,
+        built once beside the list."""
+        key = ("search", i, budget.key())
         if key not in self._enum_cache:
+            inverses = []
             sup = IdSet.empty()
             for w, _ in self.enumerate(i, budget):
+                inverses.append(w.inverse())
                 sup = sup.union(letters(w))
-            self._enum_cache[key] = sup
+            self._enum_cache[key] = (inverses, sup)
         return self._enum_cache[key]
 
     def exact_levels(self) -> "list[dict[Word, object]] | None":
@@ -475,10 +515,10 @@ class TrivialNsys(Nsys):
             raise ZeroDepth(f"depth must be >= 1, got {depth}")
         super().__init__(alphabet, depth)
 
-    def _own_answer(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx, within):
         if w.is_identity():
             return _yes(Leaf(i, E, "trivial"))
-        return _no("trivial system: level is {e}")
+        return _NO_TRIVIAL
 
     def _enumerate(self, i, budget):
         return [(E, Leaf(i, E, "trivial"))]
@@ -498,19 +538,22 @@ class TrivialNsys(Nsys):
 
 class ExplicitNsys(Nsys):
     """Hand-written finite levels, a test oracle for the search; the
-    constructor checks none of the level-system conditions."""
+    constructor checks that their words use only the alphabet's letters, as
+    every layer's do, and none of the level-system conditions."""
 
     def __init__(self, alphabet: IdSet, levels: Iterable[Iterable[Word]]):
         levels = tuple(frozenset(level) for level in levels)
         if len(levels) < 2:
             raise ZeroDepth("need at least levels 0 and 1")
+        if not all(supported_in(w, alphabet) for level in levels for w in level):
+            raise NbhdError("explicit level uses letters outside the alphabet")
         super().__init__(alphabet, len(levels) - 1)
         self.levels = levels
 
-    def _own_answer(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx, within):
         if w in self.levels[i]:
             return _yes(Leaf(i, w, "explicit"))
-        return _no("not in the explicit level set")
+        return _NO_EXPLICIT
 
     def _enumerate(self, i, budget):
         return [(w, Leaf(i, w, "explicit")) for w in sorted(self.levels[i], key=word_key)]
@@ -538,12 +581,14 @@ class PaddedNsys(Nsys):
             raise NbhdError("padding must increase depth")
         super().__init__(base.alphabet, depth, base)
 
-    def _own_answer(self, i, w, ctx):
+    def _own_answer(self, i, w, ctx, within):
+        # a pad tests no letters: it shares its base's alphabet, and the base
+        # tests w against it unless the search built w inside it
         if i <= self.base.depth:
             return None
         if w.is_identity():
             return _yes(Leaf(i, E, "pad"))
-        return _no("padded level is {e}")
+        return _NO_PADDED
 
     def _after_base(self, i, w, base_ans, ctx):
         return base_ans
@@ -594,6 +639,16 @@ class EnrichedNsys(Nsys):
         alphabet: IdSet,
         bounded_base_size: Optional[int] = None,
     ):
+        # The search takes every word of this layer's level lists to be made
+        # of its letters (see _own_answer), so the base's and the adjoined
+        # set's letters must lie in its alphabet, also in a loaded state.
+        if not base.alphabet.issubset(alphabet):
+            raise OverlapAlphabet("ambient alphabet must contain the base alphabet")
+        if not all(supported_in(w, alphabet) for w in extra.finite + extra.cyclic):
+            raise NbhdError("base set uses letters outside the ambient alphabet")
+        for w in extra.finite:
+            if w.inverse() not in extra.finite:
+                raise AsymmetricB(f"base set not symmetric: missing inverse of {w}")
         super().__init__(alphabet, base.depth, base)
         self.extra = extra
         self.bounded_base_size = bounded_base_size
@@ -607,17 +662,20 @@ class EnrichedNsys(Nsys):
 
     # -- membership ----------------------------------------------------------
 
-    def _own_answer(self, i, w, ctx):
-        if not supported_in(w, self.alphabet):
-            return _no("letters outside the ambient alphabet")
+    def _own_answer(self, i, w, ctx, within):
+        # A word that a search built in a layer with this very alphabet is
+        # made of its letters (level lists and conjugators use no others), so
+        # the test would pass; every other word is tested here.
+        if self.alphabet is not within and not supported_in(w, self.alphabet):
+            return _NO_LETTERS
         bound = self._bound(i)
         if bound is not None and letters(w).size > bound:
             return _no(f"letter count exceeds the enrichment bound {bound}")
         exact = self.exact_levels()
         if exact is not None:
             rep = exact[i].get(w)
-            return _yes(rep) if rep is not None else _no("absent from the exact level set")
-        return _unknown("search budget exhausted") if ctx.nodes_left <= 0 else None
+            return _yes(rep) if rep is not None else _NO_EXACT
+        return _UNKNOWN_BUDGET if ctx.nodes_left <= 0 else None
 
     def _after_base(self, i, w, base_ans, ctx):
         if base_ans.is_yes:
@@ -626,38 +684,39 @@ class EnrichedNsys(Nsys):
             if self.extra.contains(w):
                 return _yes(Leaf(i, w, "extra"))
             if base_ans.is_no:
-                return _no("neither in the base level nor the adjoined set")
-            return _unknown("base level undecided")
+                return _NO_BASE_OR_EXTRA
+            return _UNKNOWN_BASE
         if ctx.nodes_left <= 0:
-            return _unknown("search budget exhausted")
+            return _UNKNOWN_BUDGET
         ctx.nodes_left -= 1
 
         # nesting: V_{i+1} ⊆ V_i via x = e with v = e
-        up = self._member(i + 1, w, ctx)
+        up = self._member(i + 1, w, ctx, self.alphabet)
         if up.is_yes:
             return _yes(Conj(i, E, up.rep, self.identity_rep(i + 1)))
         # the search below would stop at its first node; skip the enumeration
         if ctx.nodes_left <= 0:
-            return _unknown("search budget exhausted")
+            return _UNKNOWN_BUDGET
 
         inner = self.enumerate(i + 1, ctx.budget)
+        inverses, support = self._enum_search(i + 1, ctx.budget)
         # A working conjugator must appear in w or cancel into the factors,
         # so searching letters of w and of the enumerated children is
         # complete relative to the enumeration.
-        candidate_ids = letters(w).union(self._enum_support(i + 1, ctx.budget))
+        candidate_ids = letters(w).union(support)
         for x in _conjugators(candidate_ids.intersection(self.alphabet)):
             wx = multiply(multiply(x.inverse(), w), x)
-            for u, urep in inner:
+            for (_, urep), u_inv in zip(inner, inverses):
                 if ctx.nodes_left <= 0:
-                    return _unknown("search budget exhausted")
+                    return _UNKNOWN_BUDGET
                 ctx.nodes_left -= 1
-                v = multiply(u.inverse(), wx)
-                vans = self._member(i + 1, v, ctx)
+                v = multiply(u_inv, wx)
+                vans = self._member(i + 1, v, ctx, self.alphabet)
                 if vans.is_yes:
                     return _yes(Conj(i, x, urep, vans.rep))
         # With a cyclic base present the level is infinite; a failed bounded
         # search is not a refutation.
-        return _unknown("bounded search found no certificate")
+        return _UNKNOWN_SEARCH
 
     # -- enumeration -----------------------------------------------------------
 
@@ -779,13 +838,6 @@ def _detect_bounded(U: Nsys, extra: BaseSet, ambient: IdSet) -> Optional[int]:
 
 def enrich(U: Nsys, B: BaseSet, ambient: IdSet) -> EnrichedNsys:
     """The B-enrichment of U inside the free group over ``ambient``."""
-    if not U.alphabet.issubset(ambient):
-        raise OverlapAlphabet("ambient alphabet must contain the base alphabet")
-    if not B.support().issubset(ambient):
-        raise NbhdError("base set uses letters outside the ambient alphabet")
-    for w in B.finite:
-        if w.inverse() not in B.finite:
-            raise AsymmetricB(f"base set not symmetric: missing inverse of {w}")
     return EnrichedNsys(U, B, ambient, _detect_bounded(U, B, ambient))
 
 

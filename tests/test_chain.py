@@ -31,6 +31,7 @@ from assgp.nbhd import (
     identity_extension,
     make_base,
     pad_system,
+    rep_to_obj,
     trivial_system,
 )
 from assgp.poset import (
@@ -45,7 +46,7 @@ from assgp.poset import (
     TrivialG,
     is_extension,
 )
-from assgp.words import E, IdSet, letters, multiply, parse_word, single, supported_in
+from assgp.words import E, IdSet, letters, multiply, parse_word, reduce, single, supported_in
 
 from conftest import SHARED_BUDGET, W, rand_nonempty_word, shared_level_stack
 
@@ -555,6 +556,50 @@ class TestBasisMember:
                 assert system.verify_rep(n, w, ans.rep) == (True, ""), (n, w)
             elif verdict == "no":
                 assert ans.is_no, (n, w)
+
+
+def member_answer_records(st):
+    """Seeded member queries on several conditions of st and basis_member
+    queries on st, as (verdict, reason, certificate) and (verdict, stage,
+    certificate) records.  A third of the words hold a letter of the last
+    condition's alphabet, which earlier conditions lack, and a third a
+    letter of no alphabet."""
+    rng = random.Random(1414)
+    last = st.chain[-1]
+    wide = list(last.alphabet)
+
+    def word():
+        raw = [rng.choice((1, 2, 3, 4, 5, 6)) * rng.choice((1, -1)) for _ in range(rng.randint(1, 5))]
+        kind = rng.randrange(3)
+        if kind:
+            gen = rng.choice(wide) if kind == 1 else 10**6
+            raw.insert(rng.randrange(len(raw) + 1), (gen + 1) * rng.choice((1, -1)))
+        return reduce(raw)
+
+    def cert(ans):
+        return rep_to_obj(ans.rep) if ans.rep else None
+
+    for idx in (0, 5, 9, 18, 27, 36, 45, 60, len(st.chain) - 1):
+        system = st.chain[idx].system
+        for n in sorted({*range(0, system.depth + 1, 3), system.depth}):
+            listed = system.enumerate(n, BUD)
+            for w in (word(), word(), word(), rng.choice(listed)[0]):
+                ans = system.member(n, w, BUD)
+                yield ["member", idx, n, str(w), ans.verdict, ans.reason, cert(ans)]
+    for n in range(last.depth + 1):
+        for w in (word(), word(), rng.choice(last.system.enumerate(n, BUD))[0]):
+            ans = st.basis_member(n, w)
+            yield ["basis", n, str(w), ans.verdict, ans.stage, cert(ans)]
+
+
+def test_member_answers_golden():
+    # 398 records on the query-mix state.  The digest was taken from a search
+    # that tested every word's letters at every enriched layer it passed, so
+    # a cheaper search node must still give each of these answers
+    h = hashlib.sha256()
+    for rec in member_answer_records(built_chain("assgp", 120, 0)):
+        h.update(json.dumps(rec, separators=(",", ":")).encode())
+    assert h.hexdigest() == "a4e7809b394db236b7d6f8e931f66933c76b019847d85f4afd7075097c3b0453"
 
 
 class TestSeparation:

@@ -23,6 +23,10 @@ def state(tmp_path):
     return path
 
 
+def _first_enrich(obj):
+    return next(l for c in obj["chain"] for l in c["layers"] if l["kind"] == "enrich")
+
+
 def query(state, *argv):
     return run(["query", *argv, "--state", state, "--out", "-"])
 
@@ -167,6 +171,9 @@ class TestStateCommands:
             lambda o: o["certs"][e_key].update(stage="1"),
             lambda o: o["certs"][d_key].update(kind="Z"),
             lambda o: o["chain"][3].update(base=1),  # not stacked on condition 2
+            # an enrich layer must hold its base's letters and its adjoined set's
+            lambda o: _first_enrich(o).update(alphabet=[[1, 3]]),
+            lambda o: _first_enrich(o)["extra"].update(cyclic=["x99"]),
         ]
         for edit in edits:
             broken = json.loads(state.read_text())

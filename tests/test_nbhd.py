@@ -145,6 +145,37 @@ class TestMembership:
         ans = V.member(0, a)
         assert ans.is_no and ans.reason == "absent from the exact level set"
 
+    @pytest.mark.parametrize("top", ["pad", "equal alphabet"])
+    def test_letters_are_tested_where_the_alphabet_narrows(self, top):
+        # A pad shares its base's alphabet and tests no letters, so the
+        # enrichment below it must test a word it did not build, and the
+        # answer below that layer's depth is its refutation.  A pad that
+        # marked the word as checked would let the search run instead.
+        low = cyclic_alphabet_extension(trivial_system(A, 2), IdSet.of(1))
+        U = nbhd.pad_system(low, 4)
+        if top == "equal alphabet":
+            U = identity_extension(U, IdSet.empty())
+            assert U.alphabet == low.alphabet
+        for w in (single(2), W("a c a^-1")):
+            for i in range(low.depth + 1):
+                ans = U.member(i, w)
+                assert (ans.verdict, ans.reason) == ("no", "letters outside the ambient alphabet")
+
+    def test_a_search_tests_its_words_below_a_narrowing(self):
+        # every word the top layer's search builds holds its fresh letter c,
+        # so the layer below refutes it at once instead of spending the
+        # search nodes that the top layer needs to nest c from its adjoined
+        # set down to level 0
+        low = cyclic_alphabet_extension(trivial_system(A, 3), IdSet.of(1))
+        top = cyclic_alphabet_extension(low, IdSet.of(2))
+        c = single(2)
+        ans = top.member(0, c)
+        assert ans.is_yes and top.verify_rep(0, c, ans.rep) == (True, "")
+
+    def test_explicit_levels_use_the_alphabet(self):
+        with pytest.raises(nbhd.NbhdError):
+            explicit_system(A, [[E], [E, b]])
+
 
 class TestEnumeration:
     def test_trivial_enumeration(self):
