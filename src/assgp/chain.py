@@ -19,6 +19,8 @@ n-th identity neighbourhood; ``basis_member`` queries it with certificates.
 The topology-level queries (separation, conjugacy density, cyclic-subgroup
 factorizations, the group-axiom sample checks) all answer with stage-indexed
 certificates that re-verify independently of the chain that produced them.
+A query searches at the state's budget; re-verifying a certificate searches
+nothing: it reads the stack with ``Nsys.verify_rep``/``Nsys.adjoined_rep``.
 
 States serialize to a canonical JSON container: identical configurations
 produce byte-identical files.
@@ -360,7 +362,7 @@ class ChainState:
 
     # -- queries ---------------------------------------------------------------
 
-    def basis_member(self, n: int, w: Word, budget: Optional[Budget] = None) -> BasisAnswer:
+    def basis_member(self, n: int, w: Word) -> BasisAnswer:
         """Is w in the chain's n-th basic neighbourhood (so far)?
 
         Each condition is stacked on the one before it and extends it, so
@@ -368,21 +370,21 @@ class ChainState:
         and one search of the last condition answers the query.  A word that
         the search leaves undecided is still a yes when the last condition's
         own level-n list holds it.  Unknown while the chain does not reach
-        level n.  The answer depends only on (chain, n, w, budget)."""
-        budget = budget or self.budget
+        level n.  The search runs at the state's budget, so the answer
+        depends only on (chain, n, w)."""
         system = self.chain[-1].system
         if system.depth < n:
             return BasisAnswer(verdict="unknown")
-        ans = system.member(n, w, budget)
+        ans = system.member(n, w, self.budget)
         rep = ans.rep
         if ans.verdict == "unknown":
-            level = system.enumerate(n, budget)
+            level = system.enumerate(n, self.budget)
             rep = next((r for u, r in level if u == w), None)
         if rep is not None:
             return BasisAnswer(verdict="yes", rep=rep, stage=len(self.chain) - 1)
         return BasisAnswer(verdict=ans.verdict)
 
-    def separation_index(self, g: Word, budget: Optional[Budget] = None) -> tuple[int, int]:
+    def separation_index(self, g: Word) -> tuple[int, int]:
         """Find a stage whose deepest level exactly excludes g.
 
         The stage-local exclusion is exact; the global claim that g stays out
@@ -391,31 +393,27 @@ class ChainState:
         on its own, so the stage named refutes g on a fresh ``member`` call."""
         if g.is_identity():
             raise TrivialG("the identity is never separated")
-        budget = budget or self.budget
         for idx, cond in enumerate(self.chain):
             if not supported_in(g, cond.alphabet):
                 continue
-            if cond.system.member(cond.depth, g, budget).is_no:
+            if cond.system.member(cond.depth, g, self.budget).is_no:
                 return idx, cond.depth
         raise NotYetSeparated(f"no stage excludes {g} yet")
 
-    def conj_density_witness(
-        self, g: Word, h: Word, n: int, budget: Optional[Budget] = None
-    ) -> dict:
+    def conj_density_witness(self, g: Word, h: Word, n: int) -> dict:
         """A conjugator f with f·g·f⁻¹·h⁻¹ certified in the n-th neighbourhood,
         so the conjugacy class of g meets U_n·h.
 
-        The E witness certifies f·g·f⁻¹·h⁻¹ at the depth of the condition it
-        adds, at least n; that certificate holds in the last condition too,
-        and nesting it with x = e carries it down to level n."""
+        The E witness adjoins f·g·f⁻¹·h⁻¹ at the depth of the condition it
+        adds, at least n, so the last condition certifies it at level n
+        with ``adjoined_rep``, without a search."""
         if g.is_identity():
             raise TrivialG("conjugacy density needs g != e")
-        budget = budget or self.budget
         Z = letters(g).union(letters(h))
         d = DescE(n, Z, g, h.inverse())
         key = d.key()
         if key not in self.certs or "f" not in self.certs[key]:
-            self._apply_witness(d, budget, "targeted")
+            self._apply_witness(d, self.budget, "targeted")
         rec = self.certs[key]
         f = _read(parse_word, rec["f"])
         target = _read(parse_word, rec["g0"])
@@ -423,36 +421,28 @@ class ChainState:
         if expected != target:
             raise ChainError("cached conjugacy witness fails re-verification")
         system = self.chain[-1].system
-        rep = _read(rep_from_obj, rec["rep"])
-        for i in range(rec["level"] - 1, n - 1, -1):
-            rep = Conj(i, E, rep, system.identity_rep(i + 1))
-        if not system.verify_rep(n, target, rep)[0]:
+        rep = system.adjoined_rep(n, target)
+        if rep is None or not system.verify_rep(n, target, rep)[0]:
             raise ChainError("conjugacy witness lost its membership certificate")
         basis = BasisAnswer(verdict="yes", rep=rep, stage=len(self.chain) - 1)
         return {"f": f, "witness": target, "stage": basis.stage, "basis": basis}
 
-    def assgp_certificate(self, n: int, g: Word, budget: Optional[Budget] = None) -> CycCert:
+    def assgp_certificate(self, n: int, g: Word) -> CycCert:
         """Factor g into members of cyclic subgroups inside the n-th
         neighbourhood; raises WitnessFailed explicitly when the strategy
-        cannot produce a verified factorization."""
-        budget = budget or self.budget
+        cannot produce a factorization that verifies at level n."""
         if g.is_identity():
             return CycCert(E, (), (), (), n)
         if self.chain[-1].depth < n:
-            self._apply_witness(DescA(n), budget, "targeted")
+            self._apply_witness(DescA(n), self.budget, "targeted")
         d = DescAD(n, g)
-        self._apply_witness(d, budget, "targeted")
+        self._apply_witness(d, self.budget, "targeted")
         rec = self.certs[d.key()]
         cert = _read(CycCert.from_obj, rec["cyc"])
-        cond = self.chain[rec["stage"]]
-        ok, why = verify_cyc_cert(cert, cond.system, budget)
+        at_n = CycCert(cert.target, cert.factors, cert.gens, cert.exponents, n)
+        ok, why = verify_cyc_cert(at_n, self.chain[rec["stage"]].system)
         if not ok:
-            raise WitnessFailed(f"stored factorization failed re-verification: {why}")
-        if n < cert.level:
-            at_n = CycCert(cert.target, cert.factors, cert.gens, cert.exponents, n)
-            ok, why = verify_cyc_cert(at_n, cond.system, budget)
-            if not ok:
-                raise WitnessFailed(f"factorization does not descend to level {n}: {why}")
+            raise WitnessFailed(f"stored factorization fails re-verification at level {n}: {why}")
         return cert
 
     # -- group-axiom sampling ----------------------------------------------------
@@ -463,8 +453,10 @@ class ChainState:
         Each check builds the certificate the corresponding closure argument
         predicts (a conjugation node with x = e for products, the mirrored
         tree for inverses, nested conjugation nodes of length-l words for the
-        n+l law) and re-verifies it, then cross-checks basis membership is
-        not refuted."""
+        n+l law) and re-verifies it, searching nothing; on a level that a pad
+        or the root builds that word is e, which ``identity_rep`` certifies.
+        Products are cross-checked as not refuted by ``basis_member``, at the
+        state's budget; ``budget`` sizes the sampled pools."""
         budget = budget or self.budget
         cond = self.chain[-1]
         sys_ = cond.system
@@ -475,19 +467,19 @@ class ChainState:
             if not ok:
                 report["violations"] += 1
 
+        def certify(n, w, rep):
+            ok, why = sys_.verify_rep(n, w, rep)
+            if not ok and w.is_identity():
+                ok, why = sys_.verify_rep(n, w, sys_.identity_rep(n))
+            return ok, why
+
         for n in range(cond.depth):
             pool = sys_.enumerate(n + 1, budget)[: max(2, samples)]
             for (u, urep), (v, vrep) in itertools.product(pool, pool):
                 w = multiply(u, v)
-                rep = Conj(n, E, urep, vrep)
-                ok, why = sys_.verify_rep(n, w, rep)
-                if not ok:
-                    # systems without conjugation structure (all-{e} levels)
-                    # certify directly instead
-                    ok = sys_.member(n, w, budget).is_yes
-                    why = "" if ok else why
+                ok, why = certify(n, w, Conj(n, E, urep, vrep))
                 note("product", ok, f"U_{n + 1}·U_{n + 1} ∋ {u}·{v} at level {n}: {why}")
-                basis = self.basis_member(n, w, budget)
+                basis = self.basis_member(n, w)
                 note("product-basis", not basis.is_no, f"{w} at level {n}")
 
         for n in range(cond.depth + 1):
@@ -515,10 +507,7 @@ class ChainState:
                         x = single(gen_of(letter_val), 1 if letter_val > 0 else -1)
                         cur = Conj(level, x, cur, sys_.identity_rep(level + 1))
                     target = multiply(multiply(g, w), g.inverse())
-                    ok, why = sys_.verify_rep(n, target, cur)
-                    if not ok:
-                        ok = sys_.member(n, target, budget).is_yes
-                        why = "" if ok else why
+                    ok, why = certify(n, target, cur)
                     note(
                         "conjugation",
                         ok,
@@ -594,9 +583,8 @@ class ChainState:
             raise FormatError(f"malformed chain state: {exc}") from exc
         return state
 
-    def verify_certificates(self, budget: Optional[Budget] = None) -> list[str]:
-        """Re-check every stored certificate; returns failure descriptions."""
-        budget = budget or self.budget
+    def verify_certificates(self) -> list[str]:
+        """Re-check every stored certificate without a search; returns failures."""
         failures = []
         for key in sorted(self.certs):
             rec = self.certs[key]
@@ -607,7 +595,7 @@ class ChainState:
                 ok, why = cond.system.verify_rep(rec["level"], g0, rep)
             elif rec["kind"] == "D" and rec.get("cyc"):
                 cert = _read(CycCert.from_obj, rec["cyc"])
-                ok, why = verify_cyc_cert(cert, cond.system, budget)
+                ok, why = verify_cyc_cert(cert, cond.system)
             else:
                 continue  # C: separation is re-checked on demand via separation_index
             if not ok:

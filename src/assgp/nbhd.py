@@ -424,6 +424,23 @@ class Nsys:
         """This layer's own leaf for e at level i, or None to ask the base."""
         return None
 
+    def adjoined_rep(self, i: int, w: Word):
+        """The ``extra`` leaf of the first layer, at or below this one, that
+        adjoins w at its depth L >= i, nested down to level i with x = e
+        (U_{l+1} ⊆ U_l); None when no layer adjoins w.  Building it searches
+        nothing, and ``verify_rep`` checks it like any certificate."""
+        if not 0 <= i <= self.depth:
+            raise BadLevel(f"level {i} outside 0..{self.depth}")
+        layer = self
+        while layer is not None and layer.depth >= i:
+            if isinstance(layer, EnrichedNsys) and layer.extra.contains(w):
+                rep = Leaf(layer.depth, w, "extra")
+                for level in range(layer.depth - 1, i - 1, -1):
+                    rep = Conj(level, E, rep, self.identity_rep(level + 1))
+                return rep
+            layer = layer.base
+        return None
+
     def verify_rep(self, i: int, w: Word, rep) -> tuple[bool, str]:
         """Independent re-check against this stack: structure, leaf claims,
         and flatten+multiply."""

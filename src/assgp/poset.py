@@ -153,8 +153,6 @@ class DescE:
 
 @dataclass
 class ExtensionReport:
-    alphabet_ok: bool
-    depth_ok: bool
     violations: list[tuple[int, str, str]] = field(default_factory=list)
     unknowns: int = 0
     checked: int = 0
@@ -164,13 +162,13 @@ class ExtensionReport:
 
     @property
     def passed(self) -> bool:
-        return self.alphabet_ok and self.depth_ok and not self.violations
+        return not self.violations
 
     def describe(self) -> dict:
         return {
-            "alphabet_ok": self.alphabet_ok,
-            "depth_ok": self.depth_ok,
-            # every checked pair is stacked; the field keeps step logs' bytes
+            # a stacked pair meets both; the constants keep step logs' bytes
+            "alphabet_ok": True,
+            "depth_ok": True,
             "containment_mode": "stacked",
             "violations": [list(v) for v in self.violations],
             "unknowns": self.unknowns,
@@ -185,11 +183,12 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
     """Check that q extends p, where q's system is p's or stacked on it.
 
     A q that is not stacked on p raises NbhdError; deciding that walks only
-    the layers between q and p.  The two structural conditions are exact,
-    and containment of p's levels holds by the stacking.  The restriction
-    direction enumerates q's levels within budget, filters words supported
-    in p's alphabet, and demands membership in p's level; an exact refusal
-    is a violation with a concrete witness word.
+    the layers between q and p.  The stacking gives the two structural
+    conditions and containment of p's levels: a layer only widens the
+    alphabet or deepens the system.  The restriction direction enumerates
+    q's levels within budget, filters words supported in p's alphabet, and
+    demands membership in p's level; an exact refusal is a violation with a
+    concrete witness word.
 
     A level of q that is p's list object (an inherited level, see
     ``Nsys.enumerate``) holds exactly p's words.  Each of them is in p's
@@ -198,15 +197,7 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
     skipped.
     """
     q.system.ancestors(p.system)  # raises unless q is stacked on p
-    rpt = ExtensionReport(
-        alphabet_ok=p.alphabet.issubset(q.alphabet),
-        depth_ok=p.depth <= q.depth,
-        budget_key=budget.key(),
-        pair=(q, p),
-    )
-    if not (rpt.alphabet_ok and rpt.depth_ok):
-        return rpt
-
+    rpt = ExtensionReport(budget_key=budget.key(), pair=(q, p))
     for i in range(p.depth + 1):
         q_level = q.system.enumerate(i, budget)
         p_level = p.system.enumerate(i, budget)
@@ -385,7 +376,8 @@ def conj_extension(
 @dataclass
 class CycCert:
     """g written as a product of factors, each inside a cyclic subgroup whose
-    generator is adjoined at the deepest level of the named condition."""
+    generator a layer of the system adjoins at a depth of at least ``level``;
+    a generator that levels hold only through conjugation nodes is not."""
 
     target: Word
     factors: tuple[Word, ...]
@@ -415,11 +407,13 @@ class CycCert:
 
 
 def verify_cyc_cert(cert: CycCert, system: Nsys, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, str]:
-    """Re-check a factorization certificate against a system.
+    """Re-check a factorization certificate against a system, without a search.
 
     Exact: the factors re-multiply to the target, each factor is the claimed
-    power of its generator, and sampled powers of each generator are members
-    at the certificate's level (so the whole cyclic subgroup is claimed)."""
+    power of its generator, and sampled powers of each generator verify at
+    the certificate's level with the leaf of a layer that adjoins them
+    (:meth:`Nsys.adjoined_rep`), so the whole cyclic subgroup is claimed.
+    ``budget`` is unused; it stays because the benchmark passes one."""
     prod = E
     for f in cert.factors:
         prod = multiply(prod, f)
@@ -429,8 +423,9 @@ def verify_cyc_cert(cert: CycCert, system: Nsys, budget: Budget = DEFAULT_BUDGET
         if cyclic_member(f, c) != q:
             return False, f"factor {f} is not {c}^{q}"
         for j in (1, -1, 2):
-            ans = system.member(cert.level, power(c, j), budget)
-            if not ans.is_yes:
+            cj = power(c, j)
+            rep = system.adjoined_rep(cert.level, cj)
+            if rep is None or not system.verify_rep(cert.level, cj, rep)[0]:
                 return False, f"power {c}^{j} not certified at level {cert.level}"
     return True, ""
 

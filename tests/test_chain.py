@@ -25,6 +25,7 @@ from assgp.cli import EXIT_OK, main
 from assgp.nbhd import (
     Budget,
     MembershipAnswer,
+    Nsys,
     PaddedNsys,
     cyclic_alphabet_extension,
     enrich,
@@ -292,13 +293,7 @@ def full_scan_report(q, p, budget):
     """The oracle for is_extension on a stacked pair: the restriction scan
     over every level of q, with no level skipped."""
     assert p.system in q.system.ancestors()
-    rpt = ExtensionReport(
-        alphabet_ok=p.alphabet.issubset(q.alphabet),
-        depth_ok=p.depth <= q.depth,
-        budget_key=budget.key(),
-    )
-    if not (rpt.alphabet_ok and rpt.depth_ok):
-        return rpt
+    rpt = ExtensionReport(budget_key=budget.key())
     for i in range(p.depth + 1):
         p_words = {w for w, _ in p.system.enumerate(i, budget)}
         for w, _ in q.system.enumerate(i, budget):
@@ -677,6 +672,60 @@ class TestAssgpCertificate:
             prod = multiply(prod, f)
         assert prod == g
 
+    def test_deep_query_descends_to_level_1(self, tmp_path, capsys):
+        # on full-1000 the generators are adjoined at depth 201, far below
+        # where a 120-node search of level 1 reaches; the query appends
+        # conditions, so it runs on a copy of the shared state
+        data = serialize(built_chain("full", 1000, 0))
+        st = deserialize(data)
+        g = parse_word("a b")
+        cert = st.assgp_certificate(1, g)
+        prod = E
+        for f in cert.factors:
+            prod = multiply(prod, f)
+        assert prod == g
+        at_1 = ps.CycCert(cert.target, cert.factors, cert.gens, cert.exponents, 1)
+        assert ps.verify_cyc_cert(at_1, st.chain[-1].system) == (True, "")
+        path = tmp_path / "full1000.json"
+        path.write_bytes(data)
+        argv = ["query", "assgp", "--state", str(path), "--n", "1", "--g", "a b", "--out", "-"]
+        assert main(argv) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["target"] == "a b" and out["level"] == cert.level
+
+
+class TestChecksDoNotSearch:
+    """A certificate re-verifies without the search that found it."""
+
+    @staticmethod
+    def refuse_search(monkeypatch):
+        def member(*args):
+            raise AssertionError("a check searched")
+
+        monkeypatch.setattr(Nsys, "member", member)
+
+    @pytest.mark.parametrize("preset, steps", [("assgp", 120), ("full", 1000)])
+    def test_stored_certificates(self, monkeypatch, preset, steps):
+        st = deserialize(serialize(built_chain(preset, steps, 0)))
+        self.refuse_search(monkeypatch)
+        assert st.verify_certificates() == []
+
+    def test_fresh_cyclic_certificate(self, monkeypatch):
+        p = built_chain("assgp", 120, 0).chain[-1]
+        q, cert, _ = ps.cyc_witness(p, parse_word("a b"), Mode("test", 2), BUD)
+        self.refuse_search(monkeypatch)
+        assert ps.verify_cyc_cert(cert, q.system) == (True, "")
+
+    def test_generator_that_no_layer_adjoins_is_refused(self):
+        # x[2..4] b is listed at level 1, and a search certifies it, but only
+        # through conjugation nodes: no layer adjoins ⟨x[2..4] b⟩
+        system = built_chain("assgp", 120, 0).chain[-1].system
+        w = W("x[2..4] b")
+        assert w in dict(system.enumerate(1, BUD)) and system.member(1, w, BUD).is_yes
+        assert system.adjoined_rep(1, w) is None
+        cert = ps.CycCert(w, (w,), (w,), (1,), 1)
+        assert ps.verify_cyc_cert(cert, system) == (False, f"power {w}^1 not certified at level 1")
+
 
 class TestGroupAxioms:
     def test_trivial_chain_vacuous_pass(self):
@@ -692,9 +741,11 @@ class TestGroupAxioms:
         assert {"product", "symmetry", "conjugation"} <= kinds
 
     def test_certificates_verify_without_the_member_fallback(self, monkeypatch):
-        # a built certificate that fails to verify falls back to a member
-        # search; on a stack whose level 1 is its base's list, every one of
-        # them (built from that list's certificates) must verify on its own
+        # each check verifies the certificate its closure argument predicts,
+        # or e's own leaf, and never searches; on a stack whose level 1 is
+        # its base's list, every one of them (built from that list's
+        # certificates) must verify, with member stubbed to unknown so that
+        # only the basis cross-check reads it
         V = shared_level_stack()
         st = new_chain("t2", Mode("test", 2), SHARED_BUDGET, 0)
         st.chain.append(Condition(V.alphabet, V.depth, V))

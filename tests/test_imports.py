@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, only `words`
-builds a word from raw segments, and the package names each of its public
-definitions."""
+builds a word from raw segments, the package names each of its public
+definitions, and no verifier searches."""
 
 import ast
 from collections import Counter
@@ -170,3 +170,54 @@ def test_imports_sit_in_the_module_import_block(path):
     # no import cycle forces a deferred import: words imports nothing from
     # the package, and each module imports only the ones below it
     assert imports_in_functions(path.read_text()) == []
+
+
+SEARCHES = ("member", "basis_member", "enumerate")
+
+
+def searching_verifiers(source: str) -> list[str]:
+    """Calls of ``member``, ``basis_member`` or ``enumerate``, bare or as an
+    attribute, inside a function named ``verify…`` or ``_verify…`` at any
+    depth, as ``function:callee (line)``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not node.name.startswith(("verify", "_verify")):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SEARCHES:
+                out.add(f"{node.name}:{name} (line {call.lineno})")
+    return sorted(out)
+
+
+def test_checker_finds_searching_verifiers():
+    source = (
+        "def verify_a(s, w):\n"
+        "    return s.member(0, w)\n"
+        "def _verify_b(st, ws):\n"
+        "    return [st.basis_member(1, w) for _, w in enumerate(ws)]\n"
+        "def check(s):\n"
+        "    return s.member(0, 1)\n"
+        "class K:\n"
+        "    def verify(self):\n"
+        "        return self.system.enumerate(2)\n"
+        "    def verify_rep(self, member):\n"
+        "        return member\n"
+    )
+    assert searching_verifiers(source) == [
+        "_verify_b:basis_member (line 4)",
+        "_verify_b:enumerate (line 4)",
+        "verify:enumerate (line 9)",
+        "verify_a:member (line 2)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_verifiers_do_not_search(path):
+    # a certificate re-verifies independently of the search that found it
+    assert searching_verifiers(path.read_text()) == []
