@@ -25,10 +25,12 @@ certificate made in one layer verifies unchanged in all of them.
 
 Verdicts are three-valued.  ``yes`` always carries a re-verifiable
 certificate.  ``no`` is only returned when refutation is exact: the word
-uses letters outside the alphabet, a letter-count bound excludes it, the
-level is a literal {e}, or the whole system expands to small finite sets.
-Everything else is ``unknown``: once a cyclic base is present the level sets
-are infinite and bounded search cannot refute.
+uses letters outside the alphabet, the letter-count bound excludes it, the
+level is a pad's or the root's literal {e}, an explicit level lacks it, or
+the deepest level of an enrichment holds it neither in its base level nor
+in the adjoined set.  Everything else is ``unknown``: bounded search and the
+budgeted level lists are the one way to decide a level, and they cannot
+refute.
 
 A search node tests a word's letters only where the alphabet can reject
 it.  Each layer's level lists are made of its own letters (an enriched
@@ -73,8 +75,6 @@ from .words import (
 
 # Search-space guards (not correctness-relevant; see module docstring).
 CONJUGATOR_ID_CAP = 64
-EXACT_LEVEL_CAP = 6000
-EXACT_WORK_CAP = 2_000_000
 UV_PAIR_FACTOR = 40
 
 
@@ -200,7 +200,6 @@ _NO_TRIVIAL = _no("trivial system: level is {e}")
 _NO_EXPLICIT = _no("not in the explicit level set")
 _NO_PADDED = _no("padded level is {e}")
 _NO_LETTERS = _no("letters outside the ambient alphabet")
-_NO_EXACT = _no("absent from the exact level set")
 _NO_BASE_OR_EXTRA = _no("neither in the base level nor the adjoined set")
 _UNKNOWN_BASE = _unknown("base level undecided")
 _UNKNOWN_BUDGET = _unknown("search budget exhausted")
@@ -307,8 +306,7 @@ class Nsys:
     """Abstract finite neighbourhood system.  Immutable; compared by identity.
 
     A layer keeps its base (None at a root) and only what its levels
-    determine: the enumeration lists, which depend on (level, budget), and
-    the exact level sets."""
+    determine: the enumeration lists, which depend on (level, budget)."""
 
     alphabet: IdSet
     depth: int
@@ -319,7 +317,6 @@ class Nsys:
         self.depth = depth
         self.base = base
         self._enum_cache: dict = {}
-        self._exact: object = _UNSET
 
     # -- membership ---------------------------------------------------------
 
@@ -401,16 +398,6 @@ class Nsys:
                 sup = sup.union(letters(w))
             self._enum_cache[key] = (inverses, sup)
         return self._enum_cache[key]
-
-    def exact_levels(self) -> "list[dict[Word, object]] | None":
-        """Fully expanded level sets with certificates, or None if infinite
-        or too large.  When available, membership is decided exactly."""
-        if self._exact is _UNSET:
-            self._exact = self._exact_levels()
-        return self._exact
-
-    def _exact_levels(self):
-        raise NotImplementedError
 
     def identity_rep(self, i: int):
         """The certificate of e at level i: the leaf of the first layer down
@@ -521,9 +508,6 @@ class Nsys:
         raise NotImplementedError
 
 
-_UNSET = object()
-
-
 class TrivialNsys(Nsys):
     """Every level is {e}."""
 
@@ -539,9 +523,6 @@ class TrivialNsys(Nsys):
 
     def _enumerate(self, i, budget):
         return [(E, Leaf(i, E, "trivial"))]
-
-    def _exact_levels(self):
-        return [{E: Leaf(i, E, "trivial")} for i in range(self.depth + 1)]
 
     def _own_identity(self, i):
         return Leaf(i, E, "trivial")
@@ -574,12 +555,6 @@ class ExplicitNsys(Nsys):
 
     def _enumerate(self, i, budget):
         return [(w, Leaf(i, w, "explicit")) for w in sorted(self.levels[i], key=word_key)]
-
-    def _exact_levels(self):
-        return [
-            {w: Leaf(i, w, "explicit") for w in sorted(level, key=word_key)}
-            for i, level in enumerate(self.levels)
-        ]
 
     def _own_identity(self, i):
         if E not in self.levels[i]:
@@ -615,14 +590,6 @@ class PaddedNsys(Nsys):
             return self.base.enumerate(i, budget)
         return [(E, Leaf(i, E, "pad"))]
 
-    def _exact_levels(self):
-        below = self.base.exact_levels()
-        if below is None:
-            return None
-        return list(below) + [
-            {E: Leaf(i, E, "pad")} for i in range(self.base.depth + 1, self.depth + 1)
-        ]
-
     def _own_identity(self, i):
         return Leaf(i, E, "pad") if i > self.base.depth else None
 
@@ -635,27 +602,38 @@ class PaddedNsys(Nsys):
         return {"kind": "pad", "depth": self.depth}
 
 
+def _detect_bounded(U: Nsys, extra: BaseSet, ambient: IdSet) -> Optional[int]:
+    """|X| of U when enriching it by ``extra`` over ``ambient`` is a cyclic
+    fresh-letter or {e} enrichment, the shapes the letter-count bound holds
+    for; None otherwise."""
+    fresh = ambient.difference(U.alphabet)
+    if not fresh:
+        return None
+    if extra.finite not in ((), (E,)):
+        return None
+    for c in extra.cyclic:
+        sup = letters(c)
+        if sup.size != 1 or not sup.issubset(fresh):
+            return None
+    return U.alphabet.size
+
+
 class EnrichedNsys(Nsys):
     """B-enrichment of a base system inside a (possibly larger) alphabet.
 
     Level n is U_n ∪ B; level i < n is U_i together with all x·V_{i+1}·V_{i+1}·x⁻¹
-    for x in the ambient alphabet's letters and e.  Without exact level sets, a
-    level i < n whose base level enumerates ``budget.nodes`` words is inherited
-    (the conjugation pass could add nothing): :meth:`_enumerate` returns the
-    base's list itself, whose certificates verify in this layer unchanged.
+    for x in the ambient alphabet's letters and e.  A level i < n whose base
+    level enumerates ``budget.nodes`` words is inherited (the conjugation pass
+    could add nothing): :meth:`_enumerate` returns the base's list itself,
+    whose certificates verify in this layer unchanged.
 
-    ``bounded_base_size`` is set when this layer is a cyclic fresh-letter or
-    {e} enrichment, in which case the letter-count bound over the base
-    alphabet licenses exact refutation.
+    ``bounded_base_size`` is the base alphabet's size when this layer is a
+    cyclic fresh-letter or {e} enrichment, where the letter-count bound
+    licenses exact refutation, and None otherwise.  It is derived from the
+    base alphabet, the adjoined set and the ambient alphabet, never given.
     """
 
-    def __init__(
-        self,
-        base: Nsys,
-        extra: BaseSet,
-        alphabet: IdSet,
-        bounded_base_size: Optional[int] = None,
-    ):
+    def __init__(self, base: Nsys, extra: BaseSet, alphabet: IdSet):
         # The search takes every word of this layer's level lists to be made
         # of its letters (see _own_answer), so the base's and the adjoined
         # set's letters must lie in its alphabet, also in a loaded state.
@@ -668,7 +646,7 @@ class EnrichedNsys(Nsys):
                 raise AsymmetricB(f"base set not symmetric: missing inverse of {w}")
         super().__init__(alphabet, base.depth, base)
         self.extra = extra
-        self.bounded_base_size = bounded_base_size
+        self.bounded_base_size = _detect_bounded(base, extra, alphabet)
 
     # -- helpers -------------------------------------------------------------
 
@@ -688,10 +666,6 @@ class EnrichedNsys(Nsys):
         bound = self._bound(i)
         if bound is not None and letters(w).size > bound:
             return _no(f"letter count exceeds the enrichment bound {bound}")
-        exact = self.exact_levels()
-        if exact is not None:
-            rep = exact[i].get(w)
-            return _yes(rep) if rep is not None else _NO_EXACT
         return _UNKNOWN_BUDGET if ctx.nodes_left <= 0 else None
 
     def _after_base(self, i, w, base_ans, ctx):
@@ -738,9 +712,24 @@ class EnrichedNsys(Nsys):
     # -- enumeration -----------------------------------------------------------
 
     def _enumerate(self, i, budget):
-        exact = self.exact_levels()
-        if exact is not None:
-            return sorted(exact[i].items(), key=lambda kv: word_key(kv[0]))
+        # Level i < n is built from level i + 1: build the cold levels it
+        # rests on from the deepest upwards, so that a layer over a deep pad
+        # does not recurse once per level.
+        key = budget.key()
+        top = i
+        while (
+            top < self.depth
+            and (top + 1, key) not in self._enum_cache
+            and len(self.base.enumerate(top, budget)) < budget.nodes
+        ):
+            top += 1
+        for level in range(top, i, -1):
+            self._enum_cache[(level, key)] = self._build_level(level, budget)
+        return self._build_level(i, budget)
+
+    def _build_level(self, i, budget):
+        """Level i's list from the base's, and from level i + 1's cached list
+        when i < n and the base's holds fewer than ``budget.nodes`` words."""
         base = self.base.enumerate(i, budget)
         if i < self.depth and len(base) >= budget.nodes:
             return base
@@ -780,37 +769,6 @@ class EnrichedNsys(Nsys):
                     break
         return sorted(items.items(), key=lambda kv: word_key(kv[0]))
 
-    def _exact_levels(self):
-        if self.extra.cyclic:
-            return None
-        below = self.base.exact_levels()
-        if below is None:
-            return None
-        if self.alphabet.size > 16:
-            return None
-        levels: list[dict[Word, object]] = [dict() for _ in range(self.depth + 1)]
-        top = dict(below[self.depth])
-        for w in self.extra.finite:
-            top.setdefault(w, Leaf(self.depth, w, "extra"))
-        levels[self.depth] = top
-        conjs = _conjugators(self.alphabet)
-        for i in range(self.depth - 1, -1, -1):
-            cur = dict(below[i])
-            above = levels[i + 1]
-            if len(above) * len(above) * len(conjs) > EXACT_WORK_CAP:
-                return None
-            for x in conjs:
-                xi = x.inverse()
-                for u, urep in above.items():
-                    xu = multiply(x, u)
-                    for v, vrep in above.items():
-                        w = multiply(multiply(xu, v), xi)
-                        cur.setdefault(w, Conj(i, x, urep, vrep))
-                        if len(cur) > EXACT_LEVEL_CAP:
-                            return None
-            levels[i] = cur
-        return levels
-
     def _vouches(self, leaf):
         return leaf.origin == "extra" and leaf.level == self.depth and self.extra.contains(leaf.word)
 
@@ -840,22 +798,9 @@ def pad_system(U: Nsys, depth: int) -> Nsys:
     return PaddedNsys(U, depth)
 
 
-def _detect_bounded(U: Nsys, extra: BaseSet, ambient: IdSet) -> Optional[int]:
-    fresh = ambient.difference(U.alphabet)
-    if not fresh:
-        return None
-    if extra.finite not in ((), (E,)):
-        return None
-    for c in extra.cyclic:
-        sup = letters(c)
-        if sup.size != 1 or not sup.issubset(fresh):
-            return None
-    return U.alphabet.size
-
-
 def enrich(U: Nsys, B: BaseSet, ambient: IdSet) -> EnrichedNsys:
     """The B-enrichment of U inside the free group over ``ambient``."""
-    return EnrichedNsys(U, B, ambient, _detect_bounded(U, B, ambient))
+    return EnrichedNsys(U, B, ambient)
 
 
 def cyclic_alphabet_extension(U: Nsys, fresh: IdSet) -> EnrichedNsys:
@@ -918,11 +863,14 @@ def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:
             sys_ = PaddedNsys(sys_, obj["depth"])
         elif kind == "enrich":
             sys_ = EnrichedNsys(
-                sys_,
-                base_set_from_obj(obj["extra"]),
-                IdSet.from_intervals(obj["alphabet"]),
-                obj.get("bounded_base_size"),
+                sys_, base_set_from_obj(obj["extra"]), IdSet.from_intervals(obj["alphabet"])
             )
+            stored = obj.get("bounded_base_size")
+            if stored != sys_.bounded_base_size:  # derived, so stored must agree
+                raise NbhdError(
+                    f"enrich layer stores bounded_base_size {stored!r}, "
+                    f"its alphabets give {sys_.bounded_base_size!r}"
+                )
         else:
             raise NbhdError(f"unknown system layer kind {kind!r}")
     if sys_ is None:

@@ -21,9 +21,10 @@ from assgp.chain import (
     serialize,
     word_stream,
 )
-from assgp.cli import EXIT_OK, main
+from assgp.cli import EXIT_OK, EXIT_USAGE, main
 from assgp.nbhd import (
     Budget,
+    EnrichedNsys,
     MembershipAnswer,
     Nsys,
     PaddedNsys,
@@ -240,6 +241,64 @@ def test_assgp_240_state_bytes_golden():
     )
 
 
+def test_t2_120_state_bytes_golden():
+    # 47 conditions, depth 41: the preset whose enrich layers carry the
+    # letter-count bound, one record each
+    st = built_chain("t2", 120, 0)
+    assert (len(st.chain), st.chain[-1].depth) == (47, 41)
+    data = serialize(st)
+    assert data.count(b'"bounded_base_size"') == 6
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "d1a12c6e6a4cc29f0ff75ef6ae3257fe1e0e8591fe438de32f3abd474d9e0c96"
+    )
+
+
+class TestLetterCountBound:
+    def test_listed_words_lie_within_the_bound(self):
+        # every word a bounded layer of t2-120 lists at level i has at most
+        # _bound(i) letters, so the bound refutes none of them
+        st = built_chain("t2", 120, 0)
+        layers = [
+            layer
+            for layer in st.chain[-1].system.ancestors()
+            if isinstance(layer, EnrichedNsys) and layer.bounded_base_size is not None
+        ]
+        assert len(layers) == 6
+        listed = 0
+        for layer in layers:
+            for i in range(layer.depth + 1):
+                for w, _ in layer.enumerate(i, st.budget):
+                    assert letters(w).size <= layer._bound(i), (layer.depth, i, w)
+                    listed += 1
+        assert listed == 9060
+
+    def test_forged_bound_is_a_malformed_state(self, tmp_path, capsys):
+        # with the bound forged to 0 the state would refute b at level 2,
+        # which the stored state holds in an adjoined set
+        path = tmp_path / "t2.json"
+        path.write_bytes(serialize(built_chain("t2", 120, 0)))
+        argv = ["query", "member", "--n", "2", "--word", "b", "--out", "-", "--state"]
+        assert main([*argv, str(path)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["verdict"], out["stage"], out["certificate"]) == (
+            "yes",
+            46,
+            ["leaf", 2, "b", "extra"],
+        )
+        obj = json.loads(path.read_bytes())
+        for cond in obj["chain"]:
+            for layer in cond["layers"]:
+                if "bounded_base_size" in layer:
+                    layer["bounded_base_size"] = 0
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="malformed chain state.*bounded_base_size 0"):
+            deserialize(path.read_bytes())
+        assert main([*argv, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "malformed" in err and "Traceback" not in err
+
+
 def test_full_1000_state_bytes_golden():
     # 582 conditions, depth 201: the deepest stack of inherited levels.  The
     # reloaded state re-verifies its certificates at the default limit.
@@ -312,15 +371,10 @@ def full_scan_report(q, p, budget):
 
 def inherits_by_rule(layer, i, budget):
     """A pad layer inherits the levels up to its base's depth; an enrich
-    layer those below its depth whose base level holds `nodes` words, when
-    it has no exact level sets."""
+    layer those below its depth whose base level holds `nodes` words."""
     if isinstance(layer, PaddedNsys):
         return i <= layer.base.depth
-    return (
-        i < layer.depth
-        and layer.exact_levels() is None
-        and len(layer.base.enumerate(i, budget)) >= budget.nodes
-    )
+    return i < layer.depth and len(layer.base.enumerate(i, budget)) >= budget.nodes
 
 
 @pytest.mark.parametrize("preset", ["full", "assgp"])

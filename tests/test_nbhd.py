@@ -64,10 +64,12 @@ class TestEnrich:
             assert V.member(0, power(a, k)).is_yes
 
     def test_identity_base_stays_trivial(self):
+        # both levels list only e; the deepest refutes y, which is neither
+        # in the root's {e} nor in the adjoined {e}
         V = identity_extension(trivial_system(A, 1), IdSet.of(24))
-        ex = V.exact_levels()
-        assert ex is not None
-        assert all(set(lv) == {E} for lv in ex)
+        assert [[w for w, _ in V.enumerate(i)] for i in (0, 1)] == [[E], [E]]
+        ans = V.member(1, y)
+        assert (ans.verdict, ans.reason) == ("no", "neither in the base level nor the adjoined set")
 
     def test_foreign_conjugation_enters_lower_level(self):
         # U_1 contains b; adjoining {e} over {a,b,y} pulls y·b·b·y⁻¹ into V_0.
@@ -135,15 +137,21 @@ class TestMembership:
         assert ans1.is_yes and ans0.is_yes
         assert V.verify_rep(0, y, ans0.rep)[0]
 
-    def test_padded_system_expands_exactly(self):
-        # the pad layer's levels above its base's depth are {e}, so the
-        # whole stack expands to finite sets and refutes exactly
+    def test_padded_levels_are_identity(self):
+        # the pad's levels above its base's depth are {e}: every level of
+        # both systems lists only e, the pad refutes a there, and so does
+        # the enrichment's deepest level.  Its search below finds no
+        # certificate and refutes nothing
         pad = nbhd.pad_system(trivial_system(A, 1), 3)
         V = identity_extension(pad, IdSet.of(1))
         for U in (pad, V):
-            assert [set(level) for level in U.exact_levels()] == [{E}] * 4
-        ans = V.member(0, a)
-        assert ans.is_no and ans.reason == "absent from the exact level set"
+            assert [[w for w, _ in U.enumerate(i)] for i in range(4)] == [[E]] * 4
+        for i in (2, 3):
+            ans = pad.member(i, a)
+            assert (ans.verdict, ans.reason) == ("no", "padded level is {e}")
+        ans = V.member(3, a)
+        assert (ans.verdict, ans.reason) == ("no", "neither in the base level nor the adjoined set")
+        assert [V.member(i, a).verdict for i in range(3)] == ["unknown"] * 3
 
     @pytest.mark.parametrize("top", ["pad", "equal alphabet"])
     def test_letters_are_tested_where_the_alphabet_narrows(self, top):
@@ -213,15 +221,26 @@ class TestEnumeration:
             str(w) for w, _ in V2.enumerate(0, bud)
         ]
 
-    def test_exact_matches_budgeted_for_finite_base(self):
+    def test_budgeted_levels_of_finite_base(self):
+        # a budget above the level sizes lists each whole level: level 1 is
+        # U_1 ∪ {e}, level 0 is U_0 with every x·u·v·x⁻¹ for u, v in level 1
         lv = [{E, b, b.inverse()}, {E, b, b.inverse()}]
         U = explicit_system(AB, lv)
-        V = enrich(U, nbhd.IDENTITY_BASE, AB.union(IdSet.of(24)))
-        exact = V.exact_levels()
-        assert exact is not None
-        for i in (0, 1):
-            budgeted = {w for w, _ in V.enumerate(i, Budget(nodes=6000))}
-            assert budgeted == set(exact[i])
+        ambient = AB.union(IdSet.of(24))
+        V = enrich(U, nbhd.IDENTITY_BASE, ambient)
+        conjs = [E] + [single(g, s) for g in ambient for s in (1, -1)]
+        level0 = lv[0] | {
+            multiply(multiply(multiply(x, u), v), x.inverse())
+            for x in conjs
+            for u in lv[1]
+            for v in lv[1]
+        }
+        bud = Budget(nodes=6000)
+        assert {w for w, _ in V.enumerate(1, bud)} == lv[1]
+        listed = V.enumerate(0, bud)
+        assert {w for w, _ in listed} == level0
+        for w, rep in listed:
+            assert V.verify_rep(0, w, rep) == (True, "")
 
 
 class TestEnumerationCap:
@@ -421,6 +440,21 @@ class TestSerialization:
         assert rebuilt.alphabet == W_.alphabet
         assert rebuilt.member(0, power(y, 2)).is_yes
 
+    def test_stored_bound_must_be_the_derived_one(self):
+        # the bound is derived from the alphabets and the adjoined set, and
+        # a layer storing another value, or omitting it, is refused
+        bounded = cyclic_alphabet_extension(trivial_system(AB, 1), IdSet.of(24))
+        unbounded = enrich(trivial_system(AB, 1), make_base(cyclic=[b]), AB)
+        assert (bounded.bounded_base_size, unbounded.bounded_base_size) == (2, None)
+        for U, forged in ((bounded, 0), (bounded, 3), (bounded, None), (unbounded, 2)):
+            layers = nbhd.system_layers(U)
+            layers[-1]["bounded_base_size"] = forged
+            if forged is None:
+                del layers[-1]["bounded_base_size"]
+            with pytest.raises(nbhd.NbhdError, match="bounded_base_size"):
+                nbhd.system_from_layers(layers)
+            assert nbhd.system_from_layers(nbhd.system_layers(U)).bounded_base_size == U.bounded_base_size
+
     def test_layers_above_an_ancestor(self):
         U = trivial_system(A, 1)
         V = cyclic_alphabet_extension(U, IdSet.of(24))
@@ -447,6 +481,32 @@ class TestSerialization:
         assert items[0][0] == E and len(items) == 120
         assert (E, rebuilt.identity_rep(0)) in items
         assert verdict == (True, "")
+
+    def test_enrichment_over_a_pad_deeper_than_the_recursion_limit(self):
+        # each level below the enrichment's depth is built from the one
+        # above it; a cold level 0 must build them from the deepest upwards
+        # rather than recurse once per level.  Warming the levels top-down
+        # on a twin stack, which recurses once at most, gives the lists.
+        bud = Budget(6, 2, 10)
+        cold, warm = (
+            cyclic_alphabet_extension(nbhd.pad_system(trivial_system(A, 1), 1200), IdSet.of(1))
+            for _ in range(2)
+        )
+        for i in range(warm.depth, -1, -1):
+            warm.enumerate(i, bud)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            items = cold.enumerate(0, bud)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert single(1) in {w for w, _ in items}
+        for i in range(cold.depth + 1):
+            assert [w for w, _ in cold.enumerate(i, bud)] == [w for w, _ in warm.enumerate(i, bud)]
+        # a level-i certificate nests 1200 - i levels deep; check the short ones
+        for i in range(cold.depth - 5, cold.depth + 1):
+            for w, rep in cold.enumerate(i, bud):
+                assert cold.verify_rep(i, w, rep) == (True, "")
 
     def test_certificate_of_a_stack_deeper_than_the_recursion_limit(self):
         # a certificate names the layer that holds each leaf, so neither its
