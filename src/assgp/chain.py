@@ -406,7 +406,8 @@ class ChainState:
 
         The E witness adjoins f·g·f⁻¹·h⁻¹ at the depth of the condition it
         adds, at least n, so the last condition certifies it at level n
-        with ``adjoined_rep``, without a search."""
+        with ``adjoined_rep``, without a search: one ``extra`` leaf, however
+        far below n that depth lies."""
         if g.is_identity():
             raise TrivialG("conjugacy density needs g != e")
         Z = letters(g).union(letters(h))
@@ -658,6 +659,6 @@ def serialize(state: ChainState) -> bytes:
 def deserialize(data: bytes) -> ChainState:
     try:
         obj = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"not a valid state file: {exc}") from exc
     return ChainState.from_obj(obj)

@@ -15,13 +15,17 @@ x = e), with ``e ∈ U_n``.  Systems here are built, never materialized:
 
 Membership in a level is certificate search.  A certificate is a derivation
 tree: a leaf names the layer of the stack that holds its word (an adjoined
-set B, a padded {e} level or the root), inner nodes assert
-``w = x·u·v·x⁻¹`` with u, v certified one level deeper.  Flattening a tree
-yields the factor sequence a_1 · ... · a_m whose product is the certified
-word; certificates re-verify against the stack by multiplying that sequence
-back together, independently of the search that found them.  Every level of
-a layer lies in the same level of each system stacked on it, so a
-certificate made in one layer verifies unchanged in all of them.
+set B, a padded {e} level or the root) and the level L where that layer
+holds it, inner nodes assert ``w = x·u·v·x⁻¹`` with u, v certified one level
+deeper.  Flattening a tree yields the factor sequence a_1 · ... · a_m whose
+product is the certified word; certificates re-verify against the stack by
+multiplying that sequence back together, independently of the search that
+found them.  Every level of a layer lies in the same level of each system
+stacked on it, so a certificate made in one layer verifies unchanged in all
+of them.  Every level holds e, so an enriched layer's closure with x = e
+nests its levels, U_{i+1} ⊆ U_i below its depth: a leaf of level L stands
+at any shallower level that the stack's highest enriched layer builds, and
+a word adjoined far below the level asked for is certified by one leaf.
 
 Verdicts are three-valued.  ``yes`` always carries a re-verifiable
 certificate.  ``no`` is only returned when refutation is exact: the word
@@ -305,8 +309,11 @@ class _SearchCtx:
 class Nsys:
     """Abstract finite neighbourhood system.  Immutable; compared by identity.
 
-    A layer keeps its base (None at a root) and only what its levels
-    determine: the enumeration lists, which depend on (level, budget)."""
+    A layer keeps its base (None at a root), the stack's root (its bottom
+    layer), ``closed``, the depth of its builder (the highest layer that is
+    not a pad) when that is an enriched layer and 0 otherwise, and only
+    what its levels determine: the enumeration lists, which depend on
+    (level, budget)."""
 
     alphabet: IdSet
     depth: int
@@ -316,6 +323,10 @@ class Nsys:
         self.alphabet = alphabet
         self.depth = depth
         self.base = base
+        self.root: Nsys = self if base is None else base.root
+        # the root refers to itself, one cycle per stack; ``closed`` is a depth,
+        # as the builder would make every enriched layer a cycle
+        self.closed = 0
         self._enum_cache: dict = {}
 
     # -- membership ---------------------------------------------------------
@@ -400,31 +411,21 @@ class Nsys:
         return self._enum_cache[key]
 
     def identity_rep(self, i: int):
-        """The certificate of e at level i: the leaf of the first layer down
-        the stack that holds e at level i itself."""
-        layer = self
-        while (rep := layer._own_identity(i)) is None:
-            layer = layer.base
-        return rep
-
-    def _own_identity(self, i: int):
-        """This layer's own leaf for e at level i, or None to ask the base."""
-        return None
+        """The certificate of e at level i: a pad's leaf above the root's depth, else the root's."""
+        return Leaf(i, E, "pad" if i > self.root.depth else self.root.origin)
 
     def adjoined_rep(self, i: int, w: Word):
         """The ``extra`` leaf of the first layer, at or below this one, that
-        adjoins w at its depth L >= i, nested down to level i with x = e
-        (U_{l+1} ⊆ U_l); None when no layer adjoins w.  Building it searches
-        nothing, and ``verify_rep`` checks it like any certificate."""
+        adjoins w at its depth L >= i; None when no layer adjoins w.  The
+        leaf stands at level i as it is, because U_L ⊆ U_i (see
+        :meth:`_verify_structure`).  Building it searches nothing, and
+        ``verify_rep`` checks it like any certificate."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         layer = self
         while layer is not None and layer.depth >= i:
             if isinstance(layer, EnrichedNsys) and layer.extra.contains(w):
-                rep = Leaf(layer.depth, w, "extra")
-                for level in range(layer.depth - 1, i - 1, -1):
-                    rep = Conj(level, E, rep, self.identity_rep(level + 1))
-                return rep
+                return Leaf(layer.depth, w, "extra")
             layer = layer.base
         return None
 
@@ -441,23 +442,23 @@ class Nsys:
         return True, ""
 
     def _verify_structure(self, i: int, rep) -> tuple[bool, str]:
-        """A leaf holds when a layer at or below this one vouches for it.  A
-        conjugation node at level i holds when the layer owning level i is
-        an enriched layer deeper than i, its conjugator is e or a letter of
-        the alphabet, and both factors hold at level i + 1: that layer's
-        level i contains x·V_{i+1}·V_{i+1}·x⁻¹, and this system's levels i
-        and i + 1 contain that layer's."""
+        """A leaf of level L holds at position i when a layer at or below this
+        one vouches for it, and L = i or i < ``closed``.  A conjugation node
+        at level i holds when i < ``closed``, its conjugator is e or a letter
+        of the alphabet, and both factors hold at level i + 1.  Below
+        ``closed`` the builder's level i contains x·V_{i+1}·V_{i+1}·x⁻¹, and
+        every level holds e, so x = e gives V_{i+1} ⊆ V_i: a leaf of level
+        L > i, whose word is e or lies no deeper than the builder, holds."""
         todo = [(i, rep)]
         while todo:
             i, node = todo.pop()
             if isinstance(node, Leaf):
-                if node.level != i:
+                if node.level != i and not (i < self.closed and node.level in range(i, self.depth + 1)):
                     return False, "leaf level mismatch"
                 if not self._vouched(node):
-                    return False, f"no layer holds the {node.origin} leaf {node.word} at level {i}"
+                    return False, f"no layer holds the {node.origin} leaf {node.word} at level {node.level}"
             elif isinstance(node, Conj):
-                owner = self._owner(i)
-                if node.level != i or not isinstance(owner, EnrichedNsys) or i >= owner.depth:
+                if node.level != i or i >= self.closed:
                     return False, "conjugation node at an invalid level"
                 x = node.x
                 if not x.is_identity():
@@ -469,25 +470,21 @@ class Nsys:
                 return False, "unknown certificate node"
         return True, ""
 
-    def _owner(self, i: int) -> "Nsys":
-        """The layer that builds level i: walk down past the padded layers
-        that copy level i from their base."""
-        layer = self
-        while isinstance(layer, PaddedNsys) and i <= layer.base.depth:
-            layer = layer.base
-        return layer
-
     def _vouched(self, leaf: Leaf) -> bool:
+        """Does a layer at or below this one hold the leaf at its level?  Pads
+        hold e above the root's depth, the root its own leaves, and each
+        enriched layer as deep as an ``extra`` leaf its adjoined set."""
+        L, root = leaf.level, self.root
+        if leaf.origin == "pad":
+            return root.depth < L <= self.depth and leaf.word.is_identity()
+        if leaf.origin != "extra":
+            return L <= root.depth and root._vouches(leaf)
         layer = self
-        while layer is not None and layer.depth >= leaf.level:
-            if layer._vouches(leaf):
+        while layer is not None and layer.depth >= L:
+            if layer.depth == L and isinstance(layer, EnrichedNsys) and layer.extra.contains(leaf.word):
                 return True
             layer = layer.base
         return False
-
-    def _vouches(self, leaf: Leaf) -> bool:
-        """Does this layer's own part of level ``leaf.level`` hold the leaf?"""
-        raise NotImplementedError
 
     def ancestors(self, stop: "Nsys | None" = None) -> list["Nsys"]:
         """This layer and the layers below it, top first, down to but not
@@ -511,6 +508,8 @@ class Nsys:
 class TrivialNsys(Nsys):
     """Every level is {e}."""
 
+    origin = "trivial"
+
     def __init__(self, alphabet: IdSet, depth: int):
         if depth < 1:
             raise ZeroDepth(f"depth must be >= 1, got {depth}")
@@ -524,9 +523,6 @@ class TrivialNsys(Nsys):
     def _enumerate(self, i, budget):
         return [(E, Leaf(i, E, "trivial"))]
 
-    def _own_identity(self, i):
-        return Leaf(i, E, "trivial")
-
     def _vouches(self, leaf):
         return leaf.origin == "trivial" and leaf.word.is_identity()
 
@@ -536,13 +532,18 @@ class TrivialNsys(Nsys):
 
 class ExplicitNsys(Nsys):
     """Hand-written finite levels, a test oracle for the search; the
-    constructor checks that their words use only the alphabet's letters, as
-    every layer's do, and none of the level-system conditions."""
+    constructor checks that every level holds e and that their words use
+    only the alphabet's letters, as every layer's levels do, and none of the
+    other level-system conditions."""
+
+    origin = "explicit"
 
     def __init__(self, alphabet: IdSet, levels: Iterable[Iterable[Word]]):
         levels = tuple(frozenset(level) for level in levels)
         if len(levels) < 2:
             raise ZeroDepth("need at least levels 0 and 1")
+        if not all(E in level for level in levels):
+            raise NbhdError("explicit level lacks e")
         if not all(supported_in(w, alphabet) for level in levels for w in level):
             raise NbhdError("explicit level uses letters outside the alphabet")
         super().__init__(alphabet, len(levels) - 1)
@@ -556,11 +557,6 @@ class ExplicitNsys(Nsys):
     def _enumerate(self, i, budget):
         return [(w, Leaf(i, w, "explicit")) for w in sorted(self.levels[i], key=word_key)]
 
-    def _own_identity(self, i):
-        if E not in self.levels[i]:
-            raise NbhdError("explicit system lacks e at level %d" % i)
-        return Leaf(i, E, "explicit")
-
     def _vouches(self, leaf):
         return leaf.origin == "explicit" and leaf.word in self.levels[leaf.level]
 
@@ -572,6 +568,7 @@ class PaddedNsys(Nsys):
         if depth <= base.depth:
             raise NbhdError("padding must increase depth")
         super().__init__(base.alphabet, depth, base)
+        self.closed = base.closed
 
     def _own_answer(self, i, w, ctx, within):
         # a pad tests no letters: it shares its base's alphabet, and the base
@@ -589,14 +586,6 @@ class PaddedNsys(Nsys):
         if i <= self.base.depth:
             return self.base.enumerate(i, budget)
         return [(E, Leaf(i, E, "pad"))]
-
-    def _own_identity(self, i):
-        return Leaf(i, E, "pad") if i > self.base.depth else None
-
-    def _vouches(self, leaf):
-        return (
-            leaf.origin == "pad" and leaf.level > self.base.depth and leaf.word.is_identity()
-        )
 
     def node_obj(self):
         return {"kind": "pad", "depth": self.depth}
@@ -645,6 +634,7 @@ class EnrichedNsys(Nsys):
             if w.inverse() not in extra.finite:
                 raise AsymmetricB(f"base set not symmetric: missing inverse of {w}")
         super().__init__(alphabet, base.depth, base)
+        self.closed = self.depth
         self.extra = extra
         self.bounded_base_size = _detect_bounded(base, extra, alphabet)
 
@@ -768,9 +758,6 @@ class EnrichedNsys(Nsys):
                 if len(items) >= budget.nodes:
                     break
         return sorted(items.items(), key=lambda kv: word_key(kv[0]))
-
-    def _vouches(self, leaf):
-        return leaf.origin == "extra" and leaf.level == self.depth and self.extra.contains(leaf.word)
 
     def node_obj(self):
         obj = {"kind": "enrich", "alphabet": self.alphabet.intervals, "extra": self.extra.describe()}

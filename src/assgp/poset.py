@@ -413,6 +413,8 @@ def verify_cyc_cert(cert: CycCert, system: Nsys, budget: Budget = DEFAULT_BUDGET
     power of its generator, and sampled powers of each generator verify at
     the certificate's level with the leaf of a layer that adjoins them
     (:meth:`Nsys.adjoined_rep`), so the whole cyclic subgroup is claimed.
+    That leaf keeps the depth of its layer and stands at any shallower
+    level, so the check does not grow with the gap between the two.
     ``budget`` is unused; it stays because the benchmark passes one."""
     prod = E
     for f in cert.factors:

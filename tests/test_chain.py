@@ -25,6 +25,7 @@ from assgp.cli import EXIT_OK, EXIT_USAGE, main
 from assgp.nbhd import (
     Budget,
     EnrichedNsys,
+    Leaf,
     MembershipAnswer,
     Nsys,
     PaddedNsys,
@@ -701,6 +702,17 @@ class TestConjDensity:
         st = small_chain("full", 3)
         with pytest.raises(TrivialG):
             st.conj_density_witness(E, b, 1)
+
+    def test_stored_targets_stand_at_level_1_in_one_leaf(self):
+        # each E target is adjoined at a depth of up to 201; its leaf
+        # stands at level 1 as it is, with no nesting node per level
+        st = built_chain("full", 1000, 0)
+        system = st.chain[-1].system
+        targets = [parse_word(r["g0"]) for r in st.certs.values() if r["kind"] == "E"]
+        assert targets
+        for g0 in targets:
+            rep = system.adjoined_rep(1, g0)
+            assert isinstance(rep, Leaf) and system.verify_rep(1, g0, rep) == (True, "")
 
 
 class TestAssgpCertificate:

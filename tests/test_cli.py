@@ -156,6 +156,14 @@ class TestStateCommands:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert run(["export", "--state", bad]) == EXIT_USAGE
+        # a list nested past the JSON decoder's recursion limit
+        obj = json.loads(state.read_text())
+        obj["certs"]["deep"] = "<nested>"
+        bad.write_text(json.dumps(obj).replace('"<nested>"', "[" * 5000 + "]" * 5000))
+        for argv in (["query", "member", "--word", "a"], ["export"], ["check-axioms"]):
+            assert run([*argv, "--state", bad]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "not a valid state file" in err and "Traceback" not in err
 
         # well-framed files whose content is malformed
         obj = json.loads(state.read_text())

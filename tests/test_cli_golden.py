@@ -29,6 +29,8 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 STATES = [("t2", 60), ("simple", 60), ("assgp", 120), ("full", 120)]
 WORDS = ["e", "a", "a b a^-1", "x4 x[1..3]", "k x[5..9]", "c d c^-1 d^-1", "zz", "a^-1 a"]
 SEPARATE = ["a", "a b", "x4", "c^-1 d"]
+# a state file with a list nested past the JSON decoder's recursion limit
+DEEP = ("<tmp>/deep.json", '{"certs": ' + "[" * 5000 + "]" * 5000 + "}")
 
 
 def corpus():
@@ -44,8 +46,10 @@ def corpus():
                 yield ["query", "member", *on_state, "--n", str(n), "--word", w], []
         for g in SEPARATE:
             yield ["query", "separate", *on_state, "--g", g], []
+        yield ["query", "conj", *on_state, "--n", "0", "--g", "a", "--h", "b"], []
         yield ["query", "conj", *on_state, "--n", "1", "--g", "a", "--h", "b"], []
         yield ["query", "conj", *on_state, "--n", "2", "--g", "a b", "--h", "b^-1"], []
+        yield ["query", "assgp", *on_state, "--n", "0", "--g", "a"], []
         yield ["query", "assgp", *on_state, "--n", "1", "--g", "a"], []
         yield ["query", "assgp", *on_state, "--n", "2", "--g", "a b"], []
         yield ["check-axioms", *on_state], []
@@ -59,6 +63,8 @@ def corpus():
     yield ["build", "--mode", "paper:3", "--out", "<tmp>/paper3.json"], []
     yield ["query", "member", "--state", "<tmp>/missing.json", "--word", "a"], []
     yield ["query", "member", "--state", "<tmp>/t2-60.json", "--word", "a b("], []
+    for argv in (["query", "member", "--word", "a"], ["export"], ["check-axioms"]):
+        yield [*argv, "--state", DEEP[0]], []
 
 
 def digest(argv, files, tmp: str) -> str:
@@ -79,6 +85,7 @@ def digest(argv, files, tmp: str) -> str:
 
 
 def digests(tmp: str) -> dict:
+    Path(DEEP[0].replace("<tmp>", tmp)).write_text(DEEP[1])
     return {shlex.join(argv): digest(argv, files, tmp) for argv, files in corpus()}
 
 

@@ -18,6 +18,7 @@ from assgp.nbhd import (
     rep_word,
     trivial_system,
 )
+from assgp.poset import CycCert, verify_cyc_cert
 from assgp.words import E, IdSet, multiply, power, single
 
 from conftest import SHARED_BUDGET, W, shared_level_stack
@@ -184,6 +185,10 @@ class TestMembership:
         with pytest.raises(nbhd.NbhdError):
             explicit_system(A, [[E], [E, b]])
 
+    def test_explicit_levels_hold_e(self):
+        with pytest.raises(nbhd.NbhdError):
+            explicit_system(A, [[E], [a, a.inverse()]])
+
 
 class TestEnumeration:
     def test_trivial_enumeration(self):
@@ -337,8 +342,15 @@ class TestVerifier:
         self.refused(V, 0, E, Leaf(0, E, "base"), "no layer holds")
 
     def test_leaf_level_must_match_its_position(self):
+        # a leaf of level L stands at position i < L when the builder (V for
+        # V, P and Q's levels up to 2, Q above) closes level i: U_L ⊆ U_i
         T, V, P, Q = self.stack()
-        self.refused(V, 1, y, Leaf(2, y, "extra"), "leaf level mismatch")
+        assert V.verify_rep(1, y, Leaf(2, y, "extra")) == (True, "")
+        assert Q.verify_rep(0, z, Leaf(4, z, "extra")) == (True, "")
+        self.refused(V, 2, y, Leaf(1, y, "extra"), "leaf level mismatch")
+        # P's builder V is 2 deep, and T is not enriched: neither closes it
+        self.refused(P, 3, E, Leaf(4, E, "pad"), "leaf level mismatch")
+        self.refused(T, 1, E, Leaf(2, E, "trivial"), "leaf level mismatch")
         self.refused(V, 3, E, Leaf(3, E, "trivial"), "outside 0..2")
 
     def test_conjugation_at_a_pad_level_or_a_layer_depth(self):
@@ -524,6 +536,22 @@ class TestSerialization:
             sys.setrecursionlimit(limit)
         assert ans.is_yes and ans.rep == Leaf(1, E, "trivial")
         assert verdict == (True, "")
+
+    def test_level_gap_deeper_than_the_recursion_limit(self):
+        # y is adjoined at level 1500, and its leaf stands at level 0 as it
+        # is: the enrichment closes every level below its depth
+        V = cyclic_alphabet_extension(nbhd.pad_system(trivial_system(A, 1), 1500), IdSet.of(24))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            rep = V.adjoined_rep(0, y)
+            verdict = V.verify_rep(0, y, rep)
+            cyc = verify_cyc_cert(CycCert(y, (y,), (y,), (1,), 0), V)
+            back = nbhd.rep_from_obj(json.loads(json.dumps(nbhd.rep_to_obj(rep))))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep == Leaf(1500, y, "extra")
+        assert verdict == (True, "") and cyc == (True, "") and back == rep
 
     def test_exhausted_search_skips_enumeration(self, monkeypatch):
         # passing a layer costs no search node, so the search reaches the
