@@ -576,6 +576,10 @@ class ChainState:
                     raise ValueError(f"certificate {key} has unknown kind {rec['kind']!r}")
                 if type(rec["stage"]) is not int or not 0 <= rec["stage"] < len(chain):
                     raise ValueError(f"certificate {key} names stage {rec['stage']!r}")
+                if rec["kind"] == "E":  # verify_certificates checks it at that level
+                    level = rec["level"]
+                    if type(level) is not int or not 0 <= level <= chain[rec["stage"]].depth:
+                        raise ValueError(f"certificate {key} names level {level!r}")
             for key, _ in state.retry_queue:  # step() rebuilds each from its key
                 _descriptor_from_key(key)
         except FormatError:

@@ -58,6 +58,7 @@ until it returns (see :meth:`Nsys.member`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -77,7 +78,11 @@ from .words import (
     word_key,
 )
 
-# Search-space guards (not correctness-relevant; see module docstring).
+# Search-space guards (not correctness-relevant; see module docstring).  The
+# search and the level builder both conjugate by e and the letters of an
+# alphabet's first CONJUGATOR_ID_CAP ids; the level builder makes its products
+# u·v from at most budget.nodes·UV_PAIR_FACTOR pairs, so this factor caps the
+# lists the search reads too.
 CONJUGATOR_ID_CAP = 64
 UV_PAIR_FACTOR = 40
 
@@ -282,13 +287,43 @@ IDENTITY_BASE = BaseSet((E,), ())
 # ---------------------------------------------------------------------------
 
 
-def _conjugators(ids: IdSet) -> list[Word]:
+def _conjugators(ids: Iterable[int]) -> list[Word]:
     """e, then x and x⁻¹ for each of the first CONJUGATOR_ID_CAP ids."""
     out = [E]
     for gid in islice(ids, CONJUGATOR_ID_CAP):
         out.append(single(gid, 1))
         out.append(single(gid, -1))
     return out
+
+
+@lru_cache(maxsize=1)
+def _conjugator_pairs(ids: tuple[int, ...]) -> tuple[tuple[Word, Word], ...]:
+    """(x, x⁻¹) for each of :func:`_conjugators` of ``ids``, the first
+    CONJUGATOR_ID_CAP ids of an alphabet.  One table serves the level builds
+    of every layer whose alphabet begins with these ids, so the conjugators
+    that the builds' ``Conj`` nodes hold are shared objects."""
+    return tuple((x, x.inverse()) for x in _conjugators(ids))
+
+
+def _products(inner: list, pairs: int):
+    """The distinct products u·v of a level list's words, made one at a
+    time as they are asked for: the first ``pairs`` pairs in rank order
+    (index of u plus index of v, then u's index), each product with the
+    certificates of its first pair.  No cap on products is needed: the
+    level builder lists each product it is given (x = e), so it asks for
+    no more than ``budget.nodes``."""
+    seen: set[Word] = set()
+    m = len(inner)
+    for rank in range(2 * m - 1):
+        for iu in range(max(0, rank - m + 1), min(rank, m - 1) + 1):
+            (u, urep), (v, vrep) = inner[iu], inner[rank - iu]
+            prod = multiply(u, v)
+            if prod not in seen:
+                seen.add(prod)
+                yield prod, urep, vrep
+            pairs -= 1
+            if pairs <= 0:
+                return
 
 
 class _SearchCtx:
@@ -614,7 +649,11 @@ class EnrichedNsys(Nsys):
     for x in the ambient alphabet's letters and e.  A level i < n whose base
     level enumerates ``budget.nodes`` words is inherited (the conjugation pass
     could add nothing): :meth:`_enumerate` returns the base's list itself,
-    whose certificates verify in this layer unchanged.
+    whose certificates verify in this layer unchanged.  Any other level
+    i < n is built from level i + 1's list by :meth:`_build_level`, which
+    makes a product u·v only when its conjugation pass asks for one, adds
+    only e for a product equal to e, and shares its conjugator pairs
+    (x, x⁻¹) with the layers whose alphabets begin with the same ids.
 
     ``bounded_base_size`` is the base alphabet's size when this layer is a
     cyclic fresh-letter or {e} enrichment, where the letter-count bound
@@ -719,7 +758,11 @@ class EnrichedNsys(Nsys):
 
     def _build_level(self, i, budget):
         """Level i's list from the base's, and from level i + 1's cached list
-        when i < n and the base's holds fewer than ``budget.nodes`` words."""
+        when i < n and the base's holds fewer than ``budget.nodes`` words:
+        the products u·v of that list's words, made one at a time by
+        :func:`_products`, conjugated by each x of the shared
+        :func:`_conjugator_pairs` table until the list is full.  A product
+        equal to e adds only e, as every conjugate of e is e."""
         base = self.base.enumerate(i, budget)
         if i < self.depth and len(base) >= budget.nodes:
             return base
@@ -729,34 +772,20 @@ class EnrichedNsys(Nsys):
                 items.setdefault(w, Leaf(i, w, "extra"))
             return sorted(items.items(), key=lambda kv: word_key(kv[0]))[: budget.nodes]
 
-        inner = self.enumerate(i + 1, budget)
-        uv: dict[Word, tuple] = {}
-        m = len(inner)
-        pair_cap = budget.nodes * UV_PAIR_FACTOR
-        pairs_seen = 0
-        for rank in range(2 * m - 1):
-            if len(uv) >= budget.nodes or pairs_seen >= pair_cap:
-                break
-            lo = max(0, rank - m + 1)
-            for iu in range(lo, min(rank, m - 1) + 1):
-                iv = rank - iu
-                (u, urep), (v, vrep) = inner[iu], inner[iv]
-                uv.setdefault(multiply(u, v), (urep, vrep))
-                pairs_seen += 1
-                if len(uv) >= budget.nodes or pairs_seen >= pair_cap:
-                    break
-        # Interleave conjugators across products so the cap cannot starve any
-        # single x of coverage.
-        conjs = [(x, x.inverse()) for x in _conjugators(self.alphabet)]
-        for prod, (urep, vrep) in uv.items():
+        conjs = _conjugator_pairs(tuple(islice(self.alphabet, CONJUGATOR_ID_CAP)))
+        pairs = budget.nodes * UV_PAIR_FACTOR
+        for prod, urep, vrep in _products(self.enumerate(i + 1, budget), pairs):
+            if prod.is_identity():
+                items.setdefault(E, Conj(i, E, urep, vrep))
+            else:
+                for x, xi in conjs:
+                    w = multiply(multiply(x, prod), xi)
+                    if w not in items:
+                        items[w] = Conj(i, x, urep, vrep)
+                        if len(items) >= budget.nodes:
+                            break
             if len(items) >= budget.nodes:
                 break
-            for x, xi in conjs:
-                w = multiply(multiply(x, prod), xi)
-                if w not in items:
-                    items[w] = Conj(i, x, urep, vrep)
-                if len(items) >= budget.nodes:
-                    break
         return sorted(items.items(), key=lambda kv: word_key(kv[0]))
 
     def node_obj(self):

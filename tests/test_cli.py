@@ -177,6 +177,11 @@ class TestStateCommands:
             lambda o: o["retry_queue"].append(["Q:zz", 1]),
             lambda o: o["certs"][e_key].update(stage=999),
             lambda o: o["certs"][e_key].update(stage="1"),
+            # an E record re-verifies at its level, an int in 0..its stage's depth
+            lambda o: o["certs"][e_key].update(level="1"),
+            lambda o: o["certs"][e_key].update(level=True),
+            lambda o: o["certs"][e_key].update(level=-1),
+            lambda o: o["certs"][e_key].update(level=999),
             lambda o: o["certs"][d_key].update(kind="Z"),
             lambda o: o["chain"][3].update(base=1),  # not stacked on condition 2
             # an enrich layer must hold its base's letters and its adjoined set's

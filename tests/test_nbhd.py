@@ -19,7 +19,7 @@ from assgp.nbhd import (
     trivial_system,
 )
 from assgp.poset import CycCert, verify_cyc_cert
-from assgp.words import E, IdSet, multiply, power, single
+from assgp.words import E, IdSet, letters, multiply, power, single
 
 from conftest import SHARED_BUDGET, W, shared_level_stack
 
@@ -272,6 +272,125 @@ class TestEnumerationCap:
         assert len(items) > len(base)
         assert any(isinstance(r, Conj) and not r.x.is_identity() for _, r in items)
         assert (1, bud.key()) in V._enum_cache
+
+
+def eager_level(V, i, budget):
+    """Level i of the enriched layer V as the eager builder made it, the
+    reference for ``EnrichedNsys._build_level``: every distinct product u·v
+    of level i + 1's list first, up to ``nodes`` products from
+    ``nodes·UV_PAIR_FACTOR`` pairs in rank order, then each product
+    conjugated by every conjugator until the list holds ``nodes`` words."""
+    base = V.base.enumerate(i, budget)
+    if i < V.depth and len(base) >= budget.nodes:
+        return base
+    items = dict(base)
+    if i == V.depth:
+        for w in V.extra.enumerate(budget):
+            items.setdefault(w, Leaf(i, w, "extra"))
+        return sorted(items.items(), key=lambda kv: wd.word_key(kv[0]))[: budget.nodes]
+    inner = V.enumerate(i + 1, budget)
+    uv = {}
+    m = len(inner)
+    pair_cap = budget.nodes * nbhd.UV_PAIR_FACTOR
+    pairs_seen = 0
+    for rank in range(2 * m - 1):
+        if len(uv) >= budget.nodes or pairs_seen >= pair_cap:
+            break
+        for iu in range(max(0, rank - m + 1), min(rank, m - 1) + 1):
+            (u, urep), (v, vrep) = inner[iu], inner[rank - iu]
+            uv.setdefault(multiply(u, v), (urep, vrep))
+            pairs_seen += 1
+            if len(uv) >= budget.nodes or pairs_seen >= pair_cap:
+                break
+    conjs = [(x, x.inverse()) for x in nbhd._conjugators(V.alphabet)]
+    for prod, (urep, vrep) in uv.items():
+        if len(items) >= budget.nodes:
+            break
+        for x, xi in conjs:
+            w = multiply(multiply(x, prod), xi)
+            if w not in items:
+                items[w] = Conj(i, x, urep, vrep)
+            if len(items) >= budget.nodes:
+                break
+    return sorted(items.items(), key=lambda kv: wd.word_key(kv[0]))
+
+
+def listed(items):
+    return [(w, nbhd.rep_to_obj(rep)) for w, rep in items]
+
+
+class TestLevelBuilder:
+    """A cold level's list is the eager builder's, word for word and
+    certificate for certificate, though the products are made only as the
+    conjugation pass asks for them."""
+
+    def assert_eager(self, V, budget):
+        # top down, so that level i + 1, which the reference reads, is checked
+        for i in range(V.depth, -1, -1):
+            assert listed(V.enumerate(i, budget)) == listed(eager_level(V, i, budget)), i
+
+    def test_product_equal_to_e(self):
+        V = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
+        bud = Budget(6, 2, 120)
+        pairs = bud.nodes * nbhd.UV_PAIR_FACTOR
+        products = [p for p, _, _ in nbhd._products(V.enumerate(1, bud), pairs)]
+        assert products[0] == E
+        self.assert_eager(V, bud)
+        self.assert_eager(V, Budget(6, 2, 600))
+
+    @pytest.mark.parametrize("nodes", [120, 400])
+    def test_alphabet_wider_than_the_conjugator_cap(self, nodes):
+        wide = IdSet.from_range(0, 99)
+        assert wide.size > nbhd.CONJUGATOR_ID_CAP
+        V = cyclic_alphabet_extension(trivial_system(wide, 2), IdSet.of(200))
+        bud = Budget(nodes=nodes)
+        self.assert_eager(V, bud)
+        # the letters past the cap's ids conjugate nothing into the list; at
+        # 400 nodes the pass reaches the cap's last id
+        xs = [r.x for _, r in V.enumerate(0, bud) if isinstance(r, Conj) and r.x != E]
+        top = max(next(iter(letters(x))) for x in xs)
+        assert top == nbhd.CONJUGATOR_ID_CAP - 1 if nodes == 400 else top < nbhd.CONJUGATOR_ID_CAP
+
+    def test_inherited_level(self):
+        V = shared_level_stack()
+        assert V.enumerate(1, SHARED_BUDGET) is V.base.enumerate(1, SHARED_BUDGET)
+        self.assert_eager(V, SHARED_BUDGET)
+
+    def test_pair_cap_binds(self):
+        # level 1 is e and y^±1..y^±49; its 9801 pairs make 197 distinct
+        # products, fewer than `nodes`, so only the pair cap stops them, and
+        # y^98 = y^49·y^49, a pair past the cap, stays out of level 0
+        V = enrich(trivial_system(IdSet.of(24), 1), make_base(cyclic=[y]), IdSet.of(24))
+        bud = Budget(6, 49, 200)
+        inner = [w for w, _ in V.enumerate(1, bud)]
+        products = {multiply(u, v) for u in inner for v in inner}
+        assert len(inner) ** 2 > bud.nodes * nbhd.UV_PAIR_FACTOR
+        assert len(products) < bud.nodes
+        self.assert_eager(V, bud)
+        level0 = {w for w, _ in V.enumerate(0, bud)}
+        assert power(y, 98) in products and power(y, 98) not in level0
+
+    def test_finite_base(self):
+        lv = [{E, b, b.inverse()}, {E, b, b.inverse()}]
+        V = enrich(explicit_system(AB, lv), nbhd.IDENTITY_BASE, AB.union(IdSet.of(24)))
+        for nodes in (4, 20, 6000):
+            self.assert_eager(V, Budget(nodes=nodes))
+
+    def test_cold_levels_make_only_what_they_keep(self, monkeypatch):
+        # the conjugates of the first product other than e fill each level of
+        # 120; the eager builder made 630, 630 and 521 multiplies at levels 0-2
+        V = cyclic_alphabet_extension(trivial_system(IdSet.from_range(0, 99), 3), IdSet.of(200))
+        calls = []
+
+        def counting(v, w):
+            calls.append(None)
+            return multiply(v, w)
+
+        monkeypatch.setattr(nbhd, "multiply", counting)
+        for i in (2, 1, 0):
+            calls.clear()
+            assert len(V.enumerate(i, Budget())) == 120
+            assert len(calls) <= 250, i
 
 
 class TestLift:
