@@ -314,7 +314,7 @@ class ChainState:
                 "level": ext.condition.depth,
                 "f": str(ext.setting.f),
                 "g0": str(ext.setting.g0),
-                "rep": rep_to_obj(ext.cert.rep),
+                "rep": rep_to_obj(ext.rep),
             }
         elif isinstance(d, DescC):
             self.certs[key] = {
@@ -416,8 +416,8 @@ class ChainState:
         if key not in self.certs or "f" not in self.certs[key]:
             self._apply_witness(d, self.budget, "targeted")
         rec = self.certs[key]
-        f = _read(parse_word, rec["f"])
-        target = _read(parse_word, rec["g0"])
+        f = _read(parse_word, rec, "f")
+        target = _read(parse_word, rec, "g0")
         expected = multiply(multiply(multiply(f, g), f.inverse()), h.inverse())
         if expected != target:
             raise ChainError("cached conjugacy witness fails re-verification")
@@ -439,7 +439,7 @@ class ChainState:
         d = DescAD(n, g)
         self._apply_witness(d, self.budget, "targeted")
         rec = self.certs[d.key()]
-        cert = _read(CycCert.from_obj, rec["cyc"])
+        cert = _read(CycCert.from_obj, rec, "cyc")
         at_n = CycCert(cert.target, cert.factors, cert.gens, cert.exponents, n)
         ok, why = verify_cyc_cert(at_n, self.chain[rec["stage"]].system)
         if not ok:
@@ -553,6 +553,8 @@ class ChainState:
             raise FormatError(f"unsupported version {obj.get('version')!r}")
         try:
             cfg = obj["config"]
+            if len(cfg["budget"]) != 3:
+                raise ValueError(f"budget {cfg['budget']!r} is not three caps")
             budget = Budget(*cfg["budget"])
             state = ChainState(cfg["preset"], parse_mode(cfg["mode"]), budget, cfg["seed"])
             state.stage = obj["stage"]
@@ -567,7 +569,7 @@ class ChainState:
                     raise ValueError(f"condition {idx} is not stacked on the one before")
                 root = chain[-1].system if chain else None
                 system = system_from_layers(entry["layers"], root)
-                chain.append(Condition(system.alphabet, system.depth, system))
+                chain.append(Condition(system))
             if not chain:
                 raise FormatError("empty chain")
             state.chain = chain
@@ -595,11 +597,11 @@ class ChainState:
             rec = self.certs[key]
             cond = self.chain[rec["stage"]]
             if rec["kind"] == "E":
-                rep = _read(rep_from_obj, rec["rep"])
-                g0 = _read(parse_word, rec["g0"])
+                rep = _read(rep_from_obj, rec, "rep")
+                g0 = _read(parse_word, rec, "g0")
                 ok, why = cond.system.verify_rep(rec["level"], g0, rep)
             elif rec["kind"] == "D" and rec.get("cyc"):
-                cert = _read(CycCert.from_obj, rec["cyc"])
+                cert = _read(CycCert.from_obj, rec, "cyc")
                 ok, why = verify_cyc_cert(cert, cond.system)
             else:
                 continue  # C: separation is re-checked on demand via separation_index
@@ -612,10 +614,11 @@ class ChainState:
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, WordError, NbhdError)
 
 
-def _read(reader, obj):
-    """``reader(obj)`` on one stored field; malformed content is a FormatError."""
+def _read(reader, rec: dict, name: str):
+    """``reader`` on the stored field ``rec[name]``; a missing field or
+    malformed content is a FormatError."""
     try:
-        return reader(obj)
+        return reader(rec[name])
     except _MALFORMED as exc:
         raise FormatError(f"malformed stored record: {exc}") from exc
 

@@ -41,8 +41,6 @@ from .words import (
     E,
     IdSet,
     WordError,
-    cyclic_exponent,
-    cyclic_parts,
     letters,
     multiply,
     parse_word,
@@ -175,28 +173,16 @@ def _suite_eta(trials: int, seed: int, inject_bug: str) -> dict:
             seq.append(st.g0**q)
             seq.append(st.g0 ** (-q))
             seq.append(cc._rand_reduced(rng, [1, 2], 4))
+        rpt = cc.eta_invariance_check(seq, st)
         if inject_bug == "eta-skip":
-            # deliberately keep one non-trivial power un-collapsed
-            g0_parts = cyclic_parts(st.g0)
-            lhs = E
-            for w in seq:
-                lhs = multiply(lhs, w)
+            # deliberately keep the first collapsed factor un-collapsed
             rhs = E
-            skipped = False
-            for w in seq:
-                q = cyclic_exponent(w, g0_parts)
-                collapse = q is not None and q != 0
-                if collapse and not skipped:
-                    skipped = True
-                    rhs = multiply(rhs, w)  # bug: η not applied here
-                    continue
-                rhs = multiply(rhs, E if collapse else w)
-            if lhs != rhs:
-                counterexamples.append({"trial": t, "lhs": str(lhs), "rhs": str(rhs)})
-        else:
-            rpt = cc.eta_invariance_check(seq, st)
-            if not rpt.ok:
-                counterexamples.append({"trial": t, **rpt.describe()})
+            for idx, w in enumerate(seq, 1):
+                rhs = multiply(rhs, E if idx in rpt.L[1:] else w)
+            if rpt.lhs != rhs:
+                counterexamples.append({"trial": t, "lhs": str(rpt.lhs), "rhs": str(rhs)})
+        elif not rpt.ok:
+            counterexamples.append({"trial": t, **rpt.describe()})
     return {"name": "eta-invariance", "trials": trials, "counterexamples": counterexamples}
 
 
@@ -236,7 +222,7 @@ def _suite_extension(trials: int, seed: int) -> dict:
         grid = [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3), (2, 2, 4)]
         for size, n, k in grid[: max(1, min(trials, len(grid)))]:
             X = IdSet.from_range(0, size - 1)
-            p = ps.Condition(X, n, nbhd.trivial_system(X, n))
+            p = ps.Condition(nbhd.trivial_system(X, n))
             g = parse_word("a")
             h = parse_word("b") if size > 1 else parse_word("a")
             ext = ps.conj_extension(p, g, h, ps.Mode("test", k), budget)

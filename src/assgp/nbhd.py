@@ -126,6 +126,8 @@ class Budget:
     nodes: int = 120
 
     def __post_init__(self):
+        if any(type(cap) is not int for cap in self.key()):
+            raise ValueError("budget caps must be integers")
         if self.leaf_len < 1 or self.exp < 1 or self.nodes < 1:
             raise ValueError("budget caps must be positive")
 
@@ -507,13 +509,19 @@ class Nsys:
 
     def _vouched(self, leaf: Leaf) -> bool:
         """Does a layer at or below this one hold the leaf at its level?  Pads
-        hold e above the root's depth, the root its own leaves, and each
-        enriched layer as deep as an ``extra`` leaf its adjoined set."""
+        hold e above the root's depth; the root holds a leaf of its own
+        origin when it answers yes for the leaf's word at the leaf's level,
+        without a search; and each enriched layer as deep as an ``extra``
+        leaf holds its adjoined set."""
         L, root = leaf.level, self.root
         if leaf.origin == "pad":
             return root.depth < L <= self.depth and leaf.word.is_identity()
         if leaf.origin != "extra":
-            return L <= root.depth and root._vouches(leaf)
+            return (
+                leaf.origin == root.origin
+                and L <= root.depth
+                and root._own_answer(L, leaf.word, None, None).is_yes
+            )
         layer = self
         while layer is not None and layer.depth >= L:
             if layer.depth == L and isinstance(layer, EnrichedNsys) and layer.extra.contains(leaf.word):
@@ -558,9 +566,6 @@ class TrivialNsys(Nsys):
     def _enumerate(self, i, budget):
         return [(E, Leaf(i, E, "trivial"))]
 
-    def _vouches(self, leaf):
-        return leaf.origin == "trivial" and leaf.word.is_identity()
-
     def node_obj(self):
         return {"kind": "trivial", "alphabet": self.alphabet.intervals, "depth": self.depth}
 
@@ -591,9 +596,6 @@ class ExplicitNsys(Nsys):
 
     def _enumerate(self, i, budget):
         return [(w, Leaf(i, w, "explicit")) for w in sorted(self.levels[i], key=word_key)]
-
-    def _vouches(self, leaf):
-        return leaf.origin == "explicit" and leaf.word in self.levels[leaf.level]
 
 
 class PaddedNsys(Nsys):

@@ -1,13 +1,13 @@
 """Conditions, the extension order, and constructive dense-set witnesses.
 
-A condition is a triple: finite alphabet, depth, and a finite neighbourhood
-system of that depth over that alphabet.  Condition q extends p when q's
-alphabet and depth dominate p's and every level of q's system restricted to
-words over p's alphabet gives back exactly p's level.  Every extension here
-is stacked: q's system is p's with layers added on top, so p's levels lie
-in q's by construction.  The restriction equality is the expensive half;
-:func:`is_extension` checks it over a budgeted enumeration and reports
-concrete witnesses for any violation.
+A condition is a finite neighbourhood system; its alphabet and depth are
+the system's.  Condition q extends p when q's alphabet and depth dominate
+p's and every level of q's system restricted to words over p's alphabet
+gives back exactly p's level.  Every extension here is stacked: q's system
+is p's with layers added on top, so p's levels lie in q's by construction.
+The restriction equality is the expensive half; :func:`is_extension`
+checks it over a budgeted enumeration and reports concrete witnesses for
+any violation.
 
 Witness constructors produce, for each dense-set descriptor, an extending
 condition that lands in the set:
@@ -38,7 +38,7 @@ from .cancel import ConjSetting, TrivialG, make_setting
 from .nbhd import (
     Budget,
     DEFAULT_BUDGET,
-    MembershipAnswer,
+    Leaf,
     Nsys,
     cyclic_alphabet_extension,
     enrich,
@@ -68,15 +68,18 @@ class PaperCapExceeded(PosetError):
 
 @dataclass(frozen=True, eq=False)
 class Condition:
-    """A poset element: alphabet, depth, and a system over that alphabet."""
+    """A poset element: a system, whose alphabet and depth are the
+    condition's alphabet and depth."""
 
-    alphabet: IdSet
-    depth: int
     system: Nsys
 
-    def __post_init__(self):
-        if self.system.alphabet != self.alphabet or self.system.depth != self.depth:
-            raise PosetError("condition fields disagree with its system")
+    @property
+    def alphabet(self) -> IdSet:
+        return self.system.alphabet
+
+    @property
+    def depth(self) -> int:
+        return self.system.depth
 
     def __repr__(self):
         return f"Condition(|X|={self.alphabet.size}, n={self.depth})"
@@ -84,8 +87,7 @@ class Condition:
 
 def initial_condition() -> Condition:
     """⟨{x0}, 1, all-{e}⟩; satisfies the axioms by inspection."""
-    alpha = IdSet.of(0)
-    return Condition(alpha, 1, trivial_system(alpha, 1))
+    return Condition(trivial_system(IdSet.of(0), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,7 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
     """
     q.system.ancestors(p.system)  # raises unless q is stacked on p
     rpt = ExtensionReport(budget_key=budget.key(), pair=(q, p))
+    p_alphabet = p.alphabet
     for i in range(p.depth + 1):
         q_level = q.system.enumerate(i, budget)
         p_level = p.system.enumerate(i, budget)
@@ -206,7 +209,7 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
             continue
         p_words = {w for w, _ in p_level}
         for w, _ in q_level:
-            if not supported_in(w, p.alphabet):
+            if not supported_in(w, p_alphabet):
                 continue
             rpt.checked += 1
             if w in p_words:
@@ -228,7 +231,7 @@ def pad_levels(p: Condition, n: int) -> Condition:
     """Deepen to depth n with {e} levels (identity when n <= depth)."""
     if n <= p.depth:
         return p
-    return Condition(p.alphabet, n, pad_system(p.system, n))
+    return Condition(pad_system(p.system, n))
 
 
 def add_letters(p: Condition, S: IdSet) -> Condition:
@@ -236,8 +239,7 @@ def add_letters(p: Condition, S: IdSet) -> Condition:
     fresh = S.difference(p.alphabet)
     if not fresh:
         return p
-    system = cyclic_alphabet_extension(p.system, fresh)
-    return Condition(p.alphabet.union(fresh), p.depth, system)
+    return Condition(cyclic_alphabet_extension(p.system, fresh))
 
 
 def separate(p: Condition, g: Word) -> Condition:
@@ -327,13 +329,27 @@ def safe_k(mode: Mode, p: Condition) -> int:
     return max(mode.k, p.depth + 1)
 
 
+def _adjoin(
+    p: Condition, g: Word, h: Word, k: int, with_f: bool = False
+) -> tuple[Condition, ConjSetting]:
+    """The move both conjugation witnesses make: g0 = f·g·f⁻¹·h over k
+    fresh letters (``make_setting`` refuses g = e and letters outside p's),
+    then p enriched by ⟨g0⟩, and by ⟨f⟩ too when ``with_f``, over X ∪ Y."""
+    setting = make_setting(p.alphabet, g, h, k)
+    gens = [setting.g0, setting.f] if with_f else [setting.g0]
+    return Condition(enrich(p.system, make_base(cyclic=gens), setting.y_alphabet)), setting
+
+
 @dataclass
 class ConjExtension:
+    """The condition an E step adds, the setting that names its f and g0,
+    g0's certificate ``rep`` (the ``extra`` leaf of the layer that adjoins
+    g0, at the condition's depth) and the extension report."""
+
     condition: Condition
     setting: ConjSetting
-    cert: MembershipAnswer
+    rep: Leaf
     report: ExtensionReport
-    used_k: int
     # k >= threshold, extension backed by the general lemma; decided on
     # exponents, as k.bit_length() - 1 >= threshold_log2
     guaranteed: bool
@@ -348,29 +364,22 @@ def conj_extension(
 ) -> ConjExtension:
     """Adjoin ⟨g0⟩ for g0 = f·g·f⁻¹·h over k fresh letters.
 
-    g0 lands in the deepest level by construction and the certificate is
-    attached.  In test mode the extension property is checked over the full
-    budgeted enumeration; in paper mode (k at threshold) it is guaranteed and
-    only spot-checked with a small budget.
+    g0 lands in the deepest level by construction, and its certificate is
+    the leaf of the layer that adjoins it (:meth:`Nsys.adjoined_rep`), built
+    without a search.  In test mode the extension property is checked over
+    the full budgeted enumeration; in paper mode (k at threshold) it is
+    guaranteed and only spot-checked with a small budget.
     """
-    if g.is_identity():
-        raise TrivialG("conjugation witness needs g != e")
-    if not supported_in(g, p.alphabet) or not supported_in(h, p.alphabet):
-        raise PosetError("g and h must be words over the condition's alphabet")
     k = paper_k(p) if mode.kind == "paper" else mode.k
-    setting = make_setting(p.alphabet, g, h, k)
-    system = enrich(p.system, make_base(cyclic=[setting.g0]), setting.y_alphabet)
-    q = Condition(setting.y_alphabet, p.depth, system)
-    cert = system.member(q.depth, setting.g0, Budget(nodes=4))
-    if not cert.is_yes:
-        raise PosetError("g0 failed to certify in its own enrichment")
+    q, setting = _adjoin(p, g, h, k)
+    rep = q.system.adjoined_rep(q.depth, setting.g0)
     guaranteed = k.bit_length() - 1 >= threshold_log2(p.alphabet.size, p.depth)
     if mode.kind == "paper":
         report = is_extension(q, p, Budget(leaf_len=4, exp=1, nodes=40))
         report.spot = True
     else:
         report = is_extension(q, p, budget)
-    return ConjExtension(q, setting, cert, report, k, guaranteed)
+    return ConjExtension(q, setting, rep, report, guaranteed)
 
 
 @dataclass
@@ -445,15 +454,7 @@ def cyc_witness(
     :class:`WitnessFailed` with the reason and the report (None when the
     certificate failed first).  Never returns an unverified success.
     """
-    if g.is_identity():
-        raise TrivialG("cyclic witness needs g != e")
-    if not supported_in(g, p.alphabet):
-        raise PosetError("g must be a word over the condition's alphabet")
-    k = safe_k(mode, p)
-    setting = make_setting(p.alphabet, g, E, k)
-    base = make_base(cyclic=[setting.g0, setting.f])
-    system = enrich(p.system, base, setting.y_alphabet)
-    q = Condition(setting.y_alphabet, p.depth, system)
+    q, setting = _adjoin(p, g, E, safe_k(mode, p), with_f=True)
     cert = CycCert(
         target=g,
         factors=(setting.f.inverse(), setting.g0, setting.f),
@@ -461,7 +462,7 @@ def cyc_witness(
         exponents=(-1, 1, 1),
         level=q.depth,
     )
-    ok, why = verify_cyc_cert(cert, system, budget)
+    ok, why = verify_cyc_cert(cert, q.system, budget)
     if not ok:
         raise WitnessFailed(f"certificate failed: {why}", None)
     report = is_extension(q, p, budget)
@@ -496,71 +497,58 @@ def witness(
     condition, never assumed from the construction.  AD strategies are
     fallible and raise :class:`WitnessFailed` with the report attached.
     """
+    conds: list[Condition] = []
+
+    def add(new: Condition) -> Condition:
+        """Keep ``new`` as a built condition unless it is the last one."""
+        if new is not (conds[-1] if conds else p):
+            conds.append(new)
+        return new
+
     if isinstance(d, DescA):
-        q = pad_levels(p, d.n)
-        conds = [q] if q is not p else []
+        q = add(pad_levels(p, d.n))
         return WitnessResult(conds, (q.depth >= d.n), {}, [], {"depth": q.depth})
 
     if isinstance(d, DescB):
-        q = add_letters(p, d.S)
-        conds = [q] if q is not p else []
+        q = add(add_letters(p, d.S))
         return WitnessResult(conds, d.S.issubset(q.alphabet), {}, [], {})
 
     if isinstance(d, DescC):
-        q = separate(p, d.g)
+        q = add(separate(p, d.g))
         ans = q.system.member(q.depth, d.g, budget)
         ok = supported_in(d.g, q.alphabet) and ans.is_no
-        return WitnessResult([q], ok, {"excluded_at": q.depth}, [], {})
+        return WitnessResult(conds, ok, {"excluded_at": q.depth}, [], {})
 
     if isinstance(d, DescAD):
-        conds: list[Condition] = []
-        cur = pad_levels(p, d.n)
-        if cur is not p:
-            conds.append(cur)
+        cur = add(pad_levels(p, d.n))
         if d.g.is_identity():
             # e is the empty product; any condition witnesses it
             return WitnessResult(conds, True, {"factorization": []}, [], {})
-        grown = add_letters(cur, letters(d.g))
-        if grown is not cur:
-            conds.append(grown)
-            cur = grown
+        cur = add(add_letters(cur, letters(d.g)))
         q, cert, report = cyc_witness(cur, d.g, mode, budget)
-        conds.append(q)
+        add(q)
         ok, _ = verify_cyc_cert(cert, q.system, budget)
         ok = ok and q.depth >= d.n
         return WitnessResult(conds, ok, {"cyc": cert}, [report], {})
 
     if isinstance(d, DescE):
-        conds = []
-        cur = p
         need = d.S.union(letters(d.g)).union(letters(d.h))
-        grown = add_letters(cur, need)
-        if grown is not cur:
-            conds.append(grown)
-            cur = grown
-        padded = pad_levels(cur, d.n)
-        if padded is not cur:
-            conds.append(padded)
-            cur = padded
+        cur = add(add_letters(p, need))
+        cur = add(pad_levels(cur, d.n))
         eff_mode = mode if mode.kind == "paper" else Mode("test", safe_k(mode, cur))
         ext = conj_extension(cur, d.g, d.h, eff_mode, budget)
-        conds.append(ext.condition)
-        q = ext.condition
-        member_ok = ext.cert.is_yes
-        witness_word_ok = (
-            multiply(
-                multiply(multiply(ext.setting.f, d.g), ext.setting.f.inverse()), d.h
-            )
-            == ext.setting.g0
-        )
-        ok = d.n <= q.depth and d.S.issubset(q.alphabet) and member_ok and witness_word_ok
+        q = add(ext.condition)
+        f, g0, k = ext.setting.f, ext.setting.g0, ext.setting.k
+        rep_ok, _ = q.system.verify_rep(q.depth, g0, ext.rep)
+        witness_word_ok = multiply(multiply(multiply(f, d.g), f.inverse()), d.h) == g0
+        ok = d.n <= q.depth and d.S.issubset(q.alphabet) and rep_ok and witness_word_ok
         detail = {
-            "f": str(ext.setting.f) if ext.used_k <= 64 else f"run of {ext.used_k}",
-            "used_k": ext.used_k,
+            "f": str(f) if k <= 64 else f"run of {k}",
+            "used_k": k,
             "guaranteed": ext.guaranteed,
             "threshold_log2_param_n": threshold_log2(cur.alphabet.size, d.n),
             "threshold_log2_depth": threshold_log2(cur.alphabet.size, cur.depth),
         }
-        return WitnessResult(conds, ok, {"conj": ext, "g0": ext.setting.g0}, [ext.report], detail)
+        return WitnessResult(conds, ok, {"conj": ext, "g0": g0}, [ext.report], detail)
 
     raise PosetError(f"unknown descriptor {d!r}")

@@ -449,14 +449,14 @@ def test_skip_matches_the_full_scan_off_the_chain():
     # scan finds something: a foreign word below a pad layer, and levels
     # that a small node budget makes inherited
     ab = IdSet.of(0, 1)
-    p = Condition(ab, 2, trivial_system(ab, 2))
+    p = Condition(trivial_system(ab, 2))
     bad = enrich(p.system, make_base(finite=[E, b, b.inverse()]), ab)
-    q = Condition(ab, 3, pad_system(bad, 3))
+    q = Condition(pad_system(bad, 3))
     small = Budget(6, 2, 10)
     u = cyclic_alphabet_extension(trivial_system(ab, 2), IdSet.of(24))
-    r = Condition(u.alphabet, 2, u)
+    r = Condition(u)
     v = identity_extension(u, IdSet.of(25))
-    s = Condition(v.alphabet, 2, v)
+    s = Condition(v)
     for hi, lo, bud in [(q, p, BUD), (q, p, small), (s, r, small), (s, r, BUD)]:
         got = is_extension(hi, lo, bud).describe()
         assert got == full_scan_report(hi, lo, bud).describe()
@@ -814,7 +814,7 @@ class TestGroupAxioms:
         # only the basis cross-check reads it
         V = shared_level_stack()
         st = new_chain("t2", Mode("test", 2), SHARED_BUDGET, 0)
-        st.chain.append(Condition(V.alphabet, V.depth, V))
+        st.chain.append(Condition(V))
         monkeypatch.setattr(V, "member", lambda *args: MembershipAnswer("unknown"))
         rpt = st.check_group_axioms(SHARED_BUDGET, samples=3)
         assert rpt["passed"], [e for e in rpt["entries"] if not e["ok"]][:3]

@@ -172,6 +172,8 @@ class TestStateCommands:
         edits = [
             lambda o: o["certs"][d_key]["cyc"].update(target="zz"),
             lambda o: o["certs"][e_key].update(g0="zz"),
+            lambda o: o["certs"][e_key].pop("g0"),
+            lambda o: o["certs"][e_key].pop("rep"),
             # a leaf holds no inner certificate
             lambda o: o["certs"][e_key]["rep"].append(["leaf", 0, "e", "trivial"]),
             lambda o: o["retry_queue"].append(["Q:zz", 1]),
@@ -184,6 +186,11 @@ class TestStateCommands:
             lambda o: o["certs"][e_key].update(level=999),
             lambda o: o["certs"][d_key].update(kind="Z"),
             lambda o: o["chain"][3].update(base=1),  # not stacked on condition 2
+            # a budget is three int caps; a bool is not an int
+            lambda o: o["config"].update(budget=[6, 2.5, 120]),
+            lambda o: o["config"].update(budget=[6, 2, 120.5]),
+            lambda o: o["config"].update(budget=[True, 2, 120]),
+            lambda o: o["config"].update(budget=[6, 2]),
             # an enrich layer must hold its base's letters and its adjoined set's
             lambda o: _first_enrich(o).update(alphabet=[[1, 3]]),
             lambda o: _first_enrich(o)["extra"].update(cyclic=["x99"]),

@@ -5,7 +5,9 @@ from assgp.cancel import TrivialG, make_setting
 from assgp.chain import new_chain
 from assgp.nbhd import (
     Budget,
+    Leaf,
     NbhdError,
+    Nsys,
     enrich,
     explicit_system,
     make_base,
@@ -46,10 +48,6 @@ class TestCondition:
         assert p0.depth == 1 and p0.alphabet == IdSet.of(0)
         report = new_chain().check_group_axioms()
         assert report["passed"] and len(report["entries"]) == 4
-
-    def test_mismatched_fields_rejected(self):
-        with pytest.raises(ps.PosetError):
-            Condition(IdSet.of(0, 1), 1, trivial_system(IdSet.of(0), 1))
 
 
 class TestPadLevels:
@@ -174,9 +172,9 @@ class TestIsExtension:
     def test_same_alphabet_enrichment_fails_restriction(self):
         # b is a word over X^p outside U^p_n: adjoining it breaks restriction.
         ab = IdSet.of(0, 1)
-        p = Condition(ab, 1, trivial_system(ab, 1))
+        p = Condition(trivial_system(ab, 1))
         bad_sys = enrich(p.system, make_base(finite=[E, b, b.inverse()]), p.alphabet)
-        bad = Condition(p.alphabet, p.depth, bad_sys)
+        bad = Condition(bad_sys)
         rpt = is_extension(bad, p, BUD)
         assert not rpt.passed
         assert any(w == "b" for _, w, _ in rpt.violations)
@@ -192,9 +190,9 @@ class TestIsExtension:
         # every extension the chain checks is stacked; a q built afresh,
         # with p's levels or with fewer, is refused rather than sampled
         levels = [[E, a, a.inverse()], [E]]
-        p = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), levels))
+        p = Condition(explicit_system(IdSet.of(0), levels))
         for q_levels in (levels, [[E], [E]]):
-            q = Condition(IdSet.of(0), 1, explicit_system(IdSet.of(0), q_levels))
+            q = Condition(explicit_system(IdSet.of(0), q_levels))
             with pytest.raises(NbhdError):
                 is_extension(q, p, BUD)
 
@@ -203,7 +201,7 @@ class TestConjExtension:
     def test_example_g0(self):
         p = add_letters(initial_condition(), IdSet.of(0, 1))
         r = conj_extension(p, a, b, Mode("test", 2), BUD)
-        assert r.cert.is_yes
+        assert r.rep == Leaf(1, r.setting.g0, "extra")
         assert str(r.setting.g0) == "c d a d^-1 c^-1 b"
         assert r.report.passed
 
@@ -216,7 +214,7 @@ class TestConjExtension:
     def test_paper_mode_small(self):
         p0 = initial_condition()
         r = conj_extension(p0, a, E, Mode("paper"))
-        assert r.used_k == 16
+        assert r.setting.k == 16
         assert r.guaranteed
         assert len(r.setting.f.segments) == 1
         assert r.report.spot and r.report.passed
@@ -224,6 +222,17 @@ class TestConjExtension:
     def test_trivial_g_rejected(self):
         with pytest.raises(TrivialG):
             conj_extension(initial_condition(), E, E, Mode("test", 2))
+
+    def test_g0_certified_without_a_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("conj_extension searched")
+
+        monkeypatch.setattr(Nsys, "member", refuse)
+        p = add_letters(initial_condition(), IdSet.of(0, 1))
+        r = conj_extension(p, a, b, Mode("test", 2), BUD)
+        q = r.condition
+        assert isinstance(r.rep, Leaf)
+        assert q.system.verify_rep(q.depth, r.setting.g0, r.rep) == (True, "")
 
     def test_strip_chain_violation_detected(self):
         # With h = e and k <= depth, depth-many conjugations strip f entirely
