@@ -67,6 +67,7 @@ from .words import (
     CyclicParts,
     IdSet,
     Word,
+    conjugate,
     cyclic_exponent,
     cyclic_parts,
     letters,
@@ -727,7 +728,7 @@ class EnrichedNsys(Nsys):
         # complete relative to the enumeration.
         candidate_ids = letters(w).union(support)
         for x in _conjugators(candidate_ids.intersection(self.alphabet)):
-            wx = multiply(multiply(x.inverse(), w), x)
+            wx = conjugate(x.inverse(), w, x)
             for (_, urep), u_inv in zip(inner, inverses):
                 if ctx.nodes_left <= 0:
                     return _UNKNOWN_BUDGET
@@ -764,7 +765,10 @@ class EnrichedNsys(Nsys):
         the products u·v of that list's words, made one at a time by
         :func:`_products`, conjugated by each x of the shared
         :func:`_conjugator_pairs` table until the list is full.  A product
-        equal to e adds only e, as every conjugate of e is e."""
+        equal to e adds only e, as every conjugate of e is e.  Each product
+        is formatted once before :func:`~assgp.words.conjugate` makes its
+        conjugates, so the conjugates that join x and x⁻¹ on without a
+        stretch across the junction carry their text to the sort."""
         base = self.base.enumerate(i, budget)
         if i < self.depth and len(base) >= budget.nodes:
             return base
@@ -780,8 +784,9 @@ class EnrichedNsys(Nsys):
             if prod.is_identity():
                 items.setdefault(E, Conj(i, E, urep, vrep))
             else:
+                str(prod)  # a known text lets conjugate join each conjugate's on
                 for x, xi in conjs:
-                    w = multiply(multiply(x, prod), xi)
+                    w = conjugate(x, prod, xi)
                     if w not in items:
                         items[w] = Conj(i, x, urep, vrep)
                         if len(items) >= budget.nodes:

@@ -18,7 +18,9 @@ astronomically large.
 Each word has exactly one segmentation: every maximal stretch of at least
 ``RUN_MIN`` letters ``a, a + 1, a + 2, ...`` is one Run, and the letters
 between runs form one explicit tuple.  So words are immutable and hashable,
-and two words are equal exactly when their segments are.
+and two words are equal exactly when their segments are.  A word's text is a
+function of its segments, so joining two words' texts spells their product
+exactly only when nothing cancels and no stretch crosses the junction.
 """
 
 from __future__ import annotations
@@ -456,6 +458,35 @@ def multiply(v: Word, w: Word) -> Word:
     return Word(_glue(left + right))
 
 
+def conjugate(x: Word, w: Word, x_inv: Word) -> Word:
+    """x·w·x⁻¹, where ``x_inv`` is x⁻¹; the conjugators of the level lists
+    and of the search are e and single letters.
+
+    When x is one letter that neither cancels against w nor starts a stretch
+    with it at either end, the product's segments are w's with x's and
+    x⁻¹'s joined on, and its text, when w's is known, is the three texts
+    joined; any other product is made by :func:`multiply`.
+    """
+    if not x._segs:
+        return w
+    segs = w._segs
+    if x._length == 1 and segs:
+        (a,) = xs = x._segs[0]
+        xis = x_inv._segs[0]
+        head, tail = segs[0], segs[-1]
+        f = head.first if type(head) is Run else head[0]
+        l = tail.last if type(tail) is Run else tail[-1]
+        if f != -a and f != a + 1 and l != a and l != -a - 1:
+            segs = (xs + head,) + segs[1:] if type(head) is tuple else (xs,) + segs
+            tail = segs[-1]  # the joined head when w has one segment
+            segs = segs[:-1] + (tail + xis,) if type(tail) is tuple else segs + (xis,)
+            out = Word(segs)
+            if w._text is not None:
+                out._text = f"{x} {w._text} {x_inv}"
+            return out
+    return multiply(multiply(x, w), x_inv)
+
+
 def _junction(left: list, right: list) -> tuple[list, list, int]:
     """Cancel the junction between ``left`` and ``right`` segment lists.
 
@@ -534,6 +565,20 @@ def letters(w: Word) -> IdSet:
 
 
 def supported_in(w: Word, alpha: IdSet) -> bool:
+    if len(alpha.intervals) == 1:
+        # one interval: each letter is tested against its bounds, no search
+        ((lo, hi),) = alpha.intervals
+        lo, hi = lo + 1, hi + 1  # the bounds of the letters' absolute values
+        for s in w._segs:
+            if type(s) is Run:
+                # a run's letters share one sign, so its ends are its extremes
+                if not (lo <= abs(s.first) <= hi and lo <= abs(s.last) <= hi):
+                    return False
+            else:
+                for l in s:
+                    if not lo <= abs(l) <= hi:
+                        return False
+        return True
     for s in w._segs:
         if type(s) is Run:
             if not alpha.contains_range(*s.ids()):

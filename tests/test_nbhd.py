@@ -378,15 +378,21 @@ class TestLevelBuilder:
 
     def test_cold_levels_make_only_what_they_keep(self, monkeypatch):
         # the conjugates of the first product other than e fill each level of
-        # 120; the eager builder made 630, 630 and 521 multiplies at levels 0-2
+        # 120 in 121 calls; the eager builder made 382, 382 and 273 at levels
+        # 0-2 (630, 630 and 521 multiplies, with a conjugate made of two)
         V = cyclic_alphabet_extension(trivial_system(IdSet.from_range(0, 99), 3), IdSet.of(200))
         calls = []
 
-        def counting(v, w):
-            calls.append(None)
-            return multiply(v, w)
+        def counting(kernel):
+            def count(*args):
+                calls.append(None)
+                return kernel(*args)
 
-        monkeypatch.setattr(nbhd, "multiply", counting)
+            return count
+
+        # a product and a conjugate count one call each
+        monkeypatch.setattr(nbhd, "multiply", counting(multiply))
+        monkeypatch.setattr(nbhd, "conjugate", counting(wd.conjugate))
         for i in (2, 1, 0):
             calls.clear()
             assert len(V.enumerate(i, Budget())) == 120

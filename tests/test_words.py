@@ -583,3 +583,93 @@ class TestSupportedIn:
         low = wd.single(1) * wd.single(big + 1)
         assert wd.supported_in(low, IdSet.from_range(0, big + 1))
         assert not wd.supported_in(low, IdSet.from_range(2, big + 1))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (5, 9), ((1 << 32) - 2, (1 << 32) + 3), (1 << 40, (1 << 40) + 4)])
+    def test_one_interval_bounds(self, lo, hi):
+        alpha = IdSet.from_range(lo, hi)
+        below = [g for g in (lo - 1,) if g >= 0]
+        cases = [wd.single(g, s) for g in below + [lo, hi, hi + 1] for s in (1, -1)]
+        for g in below + [hi]:  # runs over g..g+3, across the bound at g or g + 1
+            run = wd.fresh_run(g, 4)
+            cases += [run, run.inverse()]
+        cases += [wd.fresh_run(lo, hi - lo + 1), wd.fresh_run(lo, hi - lo + 1).inverse()]
+        # a tuple with a foreign letter between two of alpha's
+        for g in below + [hi + 1]:
+            mid = wd.single(lo) * wd.single(g, -1) * wd.single(hi)
+            assert len(mid.segments) == 1 and type(mid.segments[0]) is tuple
+            cases += [mid, mid.inverse()]
+        for w in cases:
+            assert wd.supported_in(w, alpha) == wd.letters(w).issubset(alpha), (w, alpha)
+        assert wd.supported_in(wd.fresh_run(lo, hi - lo + 1), alpha)
+        assert not wd.supported_in(wd.single(hi + 1, -1), alpha)
+
+
+def _assert_conjugate(x, w):
+    """conjugate(x, w, x⁻¹) is the product x·w·x⁻¹, with its text, whether or
+    not w's text was known."""
+    x_inv = x.inverse()
+    want = wd.multiply(wd.multiply(x, w), x_inv)
+    for known in (False, True):
+        w = wd.Word(w.segments)  # a copy whose text is not known yet
+        if known:
+            str(w)
+        got = wd.conjugate(x, w, x_inv)
+        assert got.segments == want.segments
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == wd.format_word(want)
+    return got
+
+
+def _near_letters(w):
+    """Letters that cancel against, or start a stretch with, w's first or
+    last letter, or come one short of doing so."""
+    if w.is_identity():
+        return []
+    near = {s * (b + d) for b in (w.first, w.last) for d in (-2, -1, 0, 1, 2) for s in (1, -1)}
+    return sorted(l for l in near if l)
+
+
+class TestConjugate:
+    @settings(max_examples=300, deadline=None)
+    @given(pieces_st, st.data())
+    def test_matches_two_multiplies(self, pieces, data):
+        w = _resegment(wd.flatten_letters(_product(pieces)), data)
+        choices = _near_letters(w) + [1, -1, 7, -7]
+        a = data.draw(st.sampled_from(choices))
+        x = wd.reduce([a]) if data.draw(st.booleans()) else E
+        got = _assert_conjugate(x, w)
+        letters = wd.flatten_letters(w)
+        if not x.is_identity():
+            letters = naive_reduce([a, *letters, -a])
+        assert got.segments == canonical_segments(letters)
+
+    @pytest.mark.parametrize(
+        "x, w, want",
+        [
+            ("a", "x[1..4]", "x[0..4] a^-1"),  # stretch across the front junction
+            ("c", "x[1..4]", "c x[1..4] c^-1"),  # one Run, joined at both ends
+            ("x29", "x[1..4]^-1", "x29 x[1..4]^-1 x29^-1"),
+            ("d", "b c^-1", "d b c^-1 d^-1"),  # one tuple
+            ("x30", "x[1..4] c x[6..9]", "x30 x[1..4] c x[6..9] x30^-1"),  # Runs at both ends
+            ("d^-1", "x[1..2]", "d^-1 x[1..3]"),  # stretch across the back junction
+            ("c^-1", "b", "c^-1 b c"),
+            ("a^-1", "a b", "b a"),  # cancellation at the front
+            ("b", "a b", "b a"),  # cancellation at the back
+            ("a^-1", "a b a^-1", "b"),  # cancellation at both ends
+            ("b", "b a b^-1", "b b a b^-1 b^-1"),
+            ("e", "x[1..4] b", "x[1..4] b"),
+        ],
+    )
+    def test_cases(self, x, w, want):
+        got = _assert_conjugate(W(x), W(w))
+        assert got == W(want) and str(got) == want
+
+    def test_identity_conjugator_returns_w(self):
+        w = W("x[1..4] b")
+        assert wd.conjugate(E, w, E) is w
+
+    def test_fast_path_keeps_the_conjugator_segments(self):
+        x = wd.single(9)
+        x_inv = x.inverse()
+        got = wd.conjugate(x, W("x[1..4]"), x_inv)
+        assert got.segments[0] is x.segments[0] and got.segments[-1] is x_inv.segments[0]
