@@ -261,14 +261,13 @@ class ChainState:
         self.stage = 0
         self.certs: dict[str, dict] = {}
         self.step_log: list[dict] = []
-        self.retry_queue: list[tuple[str, int]] = []  # (descriptor key, attempts)
 
     # -- construction ---------------------------------------------------------
 
-    def _apply_witness(self, d, budget: Budget, origin: str) -> dict:
+    def _apply_witness(self, d, origin: str) -> dict:
         last = self.chain[-1]
         try:
-            res = witness(last, d, self.mode, budget)
+            res = witness(last, d, self.mode, self.budget)
         except PaperCapExceeded as exc:
             raise PaperCapExceeded(f"step {len(self.step_log)} ({d.key()}): {exc}") from exc
         entry = {
@@ -284,12 +283,12 @@ class ChainState:
         }
         # the witness has already checked its own step at this budget; a
         # paper-mode spot check does not count, it used a smaller budget
-        checked = {(r.pair, r.budget_key): r for r in res.reports if not r.spot}
+        checked = {r.pair: r for r in res.reports if not r.spot}
         prev = last
         for cond in res.conditions:
-            rpt = checked.get(((cond, prev), budget.key()))
+            rpt = checked.get((cond, prev))
             if rpt is None:
-                rpt = is_extension(cond, prev, budget)
+                rpt = is_extension(cond, prev, self.budget)
             entry["reports"].append(rpt.describe())
             self.chain.append(cond)
             entry["new_conditions"].append(len(self.chain) - 1)
@@ -324,28 +323,16 @@ class ChainState:
             }
 
     def step(self) -> dict:
-        """Consume the next scheduled descriptor (after draining a retry).
-
-        A failed witness is retried up to three times, each retry with twice
-        the node budget of the one before."""
-        if self.retry_queue:
-            key, attempts = self.retry_queue.pop(0)
-            d = _descriptor_from_key(key)
-            b = self.budget
-            budget = Budget(b.leaf_len, b.exp, b.nodes * 2**attempts)
-            origin = f"retry#{attempts}"
-        else:
-            d = self.schedule.descriptor(self.stage)
-            self.stage += 1
-            budget, origin, attempts = self.budget, "scheduled", 0
+        """Consume the next scheduled descriptor.  A witness that fails is
+        logged once as ``failed``; the next step takes the next descriptor."""
+        d = self.schedule.descriptor(self.stage)
+        self.stage += 1
         try:
-            return self._apply_witness(d, budget, origin)
+            return self._apply_witness(d, "scheduled")
         except WitnessFailed as exc:
-            if attempts < 3:
-                self.retry_queue.append((d.key(), attempts + 1))
             entry = {
                 "descriptor": d.key(),
-                "origin": origin,
+                "origin": "scheduled",
                 "status": "failed",
                 "reason": str(exc.args[0]) if exc.args else "witness failed",
                 "predicate_ok": False,
@@ -414,7 +401,7 @@ class ChainState:
         d = DescE(n, Z, g, h.inverse())
         key = d.key()
         if key not in self.certs or "f" not in self.certs[key]:
-            self._apply_witness(d, self.budget, "targeted")
+            self._apply_witness(d, "targeted")
         rec = self.certs[key]
         f = _read(parse_word, rec, "f")
         target = _read(parse_word, rec, "g0")
@@ -435,9 +422,9 @@ class ChainState:
         if g.is_identity():
             return CycCert(E, (), (), (), n)
         if self.chain[-1].depth < n:
-            self._apply_witness(DescA(n), self.budget, "targeted")
+            self._apply_witness(DescA(n), "targeted")
         d = DescAD(n, g)
-        self._apply_witness(d, self.budget, "targeted")
+        self._apply_witness(d, "targeted")
         rec = self.certs[d.key()]
         cert = _read(CycCert.from_obj, rec, "cyc")
         at_n = CycCert(cert.target, cert.factors, cert.gens, cert.exponents, n)
@@ -540,7 +527,7 @@ class ChainState:
             "chain": chain_objs,
             "certs": self.certs,
             "step_log": self.step_log,
-            "retry_queue": [[k, a] for k, a in self.retry_queue],
+            "retry_queue": [],  # kept so that states keep their bytes
         }
 
     @staticmethod
@@ -560,7 +547,8 @@ class ChainState:
             state.stage = obj["stage"]
             state.certs = obj["certs"]
             state.step_log = obj["step_log"]
-            state.retry_queue = [(k, a) for k, a in obj.get("retry_queue", [])]
+            if obj.get("retry_queue", []) != []:  # a failed step is not retried
+                raise ValueError("retry_queue is not empty")
             chain: list[Condition] = []
             for idx, entry in enumerate(obj["chain"]):
                 # basis_member reads the chain's union from the last
@@ -582,8 +570,6 @@ class ChainState:
                     level = rec["level"]
                     if type(level) is not int or not 0 <= level <= chain[rec["stage"]].depth:
                         raise ValueError(f"certificate {key} names level {level!r}")
-            for key, _ in state.retry_queue:  # step() rebuilds each from its key
-                _descriptor_from_key(key)
         except FormatError:
             raise
         except Exception as exc:  # malformed content of a well-framed file
@@ -621,26 +607,6 @@ def _read(reader, rec: dict, name: str):
         return reader(rec[name])
     except _MALFORMED as exc:
         raise FormatError(f"malformed stored record: {exc}") from exc
-
-
-def _descriptor_from_key(key: str):
-    kind, _, rest = key.partition(":")
-    if kind == "A":
-        return DescA(int(rest))
-    if kind == "B":
-        return DescB(IdSet.from_ids(int(t) for t in rest.split(",") if t))
-    if kind == "C":
-        return DescC(parse_word(rest))
-    if kind == "D":  # legacy key: D(g) is AD(0, g)
-        return DescAD(0, parse_word(rest))
-    if kind == "AD":
-        n, g = rest.split("|")
-        return DescAD(int(n), parse_word(g))
-    if kind == "E":
-        n, ids, g, h = rest.split("|")
-        S = IdSet.from_ids(int(t) for t in ids.split(",") if t)
-        return DescE(int(n), S, parse_word(g), parse_word(h))
-    raise ChainError(f"bad descriptor key {key!r}")
 
 
 # ---------------------------------------------------------------------------

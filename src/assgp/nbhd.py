@@ -6,7 +6,6 @@ the free group over its alphabet, subject to the closure condition
 x = e), with ``e ∈ U_n``.  Systems here are built, never materialized:
 
 * :func:`trivial_system` — every level is {e};
-* :func:`explicit_system` — hand-written finite levels, a test oracle;
 * :func:`enrich` — adjoin a symmetric base set B at the deepest level and
   close off under conjugation from the ambient alphabet;
 * :func:`cyclic_alphabet_extension` / :func:`identity_extension` — the two
@@ -30,25 +29,23 @@ a word adjoined far below the level asked for is certified by one leaf.
 Verdicts are three-valued.  ``yes`` always carries a re-verifiable
 certificate.  ``no`` is only returned when refutation is exact: the word
 uses letters outside the alphabet, the letter-count bound excludes it, the
-level is a pad's or the root's literal {e}, an explicit level lacks it, or
-the deepest level of an enrichment holds it neither in its base level nor
-in the adjoined set.  Everything else is ``unknown``: bounded search and the
-budgeted level lists are the one way to decide a level, and they cannot
-refute.
+level is a pad's or the root's literal {e}, or the deepest level of an
+enrichment holds it neither in its base level nor in the adjoined set.
+Everything else is ``unknown``: bounded search and the budgeted level
+lists are the one way to decide a level, and they cannot refute.
 
 A search node tests a word's letters only where the alphabet can reject
 it.  Each layer's level lists are made of its own letters (an enriched
-layer refuses a base or an adjoined set with others, an explicit one a
-word with others), so every word that an enriched layer's search builds,
-the word it nests one level down and each u⁻¹·x⁻¹·w·x for a listed u and a
-letter x, lies in that layer's alphabet.  So a layer skips the test when
-its alphabet is the very set of the layer whose search built the word (a
-pad's base shares the pad's set), and every other enriched layer tests it:
-in a stack, alphabets only narrow downwards, so those are the layers where
-the word can fail.  The word a query asks about is tested by the first
-enriched layer it reaches.  A pad tests nothing, so it never vouches for a
-word's letters.  Answers whose reason is fixed are shared
-frozen objects, one per reason.
+layer refuses a base or an adjoined set with others), so every word that
+an enriched layer's search builds, the word it nests one level down and
+each u⁻¹·x⁻¹·w·x for a listed u and a letter x, lies in that layer's
+alphabet.  So a layer skips the test when its alphabet is the very set of
+the layer whose search built the word (a pad's base shares the pad's set),
+and every other enriched layer tests it: in a stack, alphabets only narrow
+downwards, so those are the layers where the word can fail.  The word a
+query asks about is tested by the first enriched layer it reaches.  A pad
+tests nothing, so it never vouches for a word's letters.  Answers whose
+reason is fixed are shared frozen objects, one per reason.
 
 An answer depends only on (system, level, word, budget).  Systems keep no
 verdicts between searches; a search remembers what it has decided only
@@ -143,7 +140,7 @@ DEFAULT_BUDGET = Budget()
 class Leaf:
     level: int
     word: Word
-    origin: str  # "extra" | "trivial" | "explicit" | "pad"
+    origin: str  # "extra" | "pad" | the root's ``origin``, "trivial" in every built stack
 
 
 @dataclass(frozen=True)
@@ -158,10 +155,17 @@ Rep = "Leaf | Conj"
 
 
 def flatten_factors(rep) -> list[Word]:
-    """The factor sequence a_1..a_m the certificate derives."""
-    if isinstance(rep, Leaf):
-        return [rep.word]
-    return [rep.x] + flatten_factors(rep.left) + flatten_factors(rep.right) + [rep.x.inverse()]
+    """The factor sequence a_1..a_m the certificate derives, walked on an
+    explicit stack, so a certificate of any depth flattens."""
+    out, todo = [], [rep]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Conj):
+            out.append(node.x)
+            todo += (node.x.inverse(), node.right, node.left)
+        else:  # a leaf, or the x⁻¹ that closes a conjugation node
+            out.append(node.word if isinstance(node, Leaf) else node)
+    return out
 
 
 def rep_word(rep) -> Word:
@@ -173,10 +177,19 @@ def rep_word(rep) -> Word:
 
 def invert_rep(rep):
     """Certificate for the inverse word; valid because levels and base sets
-    are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹."""
-    if isinstance(rep, Leaf):
-        return Leaf(rep.level, rep.word.inverse(), rep.origin)
-    return Conj(rep.level, rep.x, invert_rep(rep.right), invert_rep(rep.left))
+    are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹.  Built children first on
+    an explicit stack, so a certificate of any depth inverts."""
+    done, todo = [], [(rep, False)]  # done: inverted subtrees, left below right
+    while todo:
+        node, children_done = todo.pop()
+        if isinstance(node, Leaf):
+            done.append(Leaf(node.level, node.word.inverse(), node.origin))
+        elif children_done:
+            right = done.pop()
+            done.append(Conj(node.level, node.x, right, done.pop()))
+        else:
+            todo += ((node, True), (node.right, False), (node.left, False))
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -209,7 +222,6 @@ def _unknown(reason) -> MembershipAnswer:
 # The answers whose reason is fixed.  MembershipAnswer is frozen, so each is
 # one shared object, handed out by every search node that gives it.
 _NO_TRIVIAL = _no("trivial system: level is {e}")
-_NO_EXPLICIT = _no("not in the explicit level set")
 _NO_PADDED = _no("padded level is {e}")
 _NO_LETTERS = _no("letters outside the ambient alphabet")
 _NO_BASE_OR_EXTRA = _no("neither in the base level nor the adjoined set")
@@ -299,12 +311,14 @@ def _conjugators(ids: Iterable[int]) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=32)
 def _conjugator_pairs(ids: tuple[int, ...]) -> tuple[tuple[Word, Word], ...]:
     """(x, x⁻¹) for each of :func:`_conjugators` of ``ids``, the first
     CONJUGATOR_ID_CAP ids of an alphabet.  One table serves the level builds
     of every layer whose alphabet begins with these ids, so the conjugators
-    that the builds' ``Conj`` nodes hold are shared objects."""
+    that the builds' ``Conj`` nodes hold are shared objects.  Layers begin
+    with a few prefixes in turn (21 in five 45-step ``full`` builds, one per
+    schedule rotation), so a table per prefix is kept, up to a fixed bound."""
     return tuple((x, x.inverse()) for x in _conjugators(ids))
 
 
@@ -571,34 +585,6 @@ class TrivialNsys(Nsys):
         return {"kind": "trivial", "alphabet": self.alphabet.intervals, "depth": self.depth}
 
 
-class ExplicitNsys(Nsys):
-    """Hand-written finite levels, a test oracle for the search; the
-    constructor checks that every level holds e and that their words use
-    only the alphabet's letters, as every layer's levels do, and none of the
-    other level-system conditions."""
-
-    origin = "explicit"
-
-    def __init__(self, alphabet: IdSet, levels: Iterable[Iterable[Word]]):
-        levels = tuple(frozenset(level) for level in levels)
-        if len(levels) < 2:
-            raise ZeroDepth("need at least levels 0 and 1")
-        if not all(E in level for level in levels):
-            raise NbhdError("explicit level lacks e")
-        if not all(supported_in(w, alphabet) for level in levels for w in level):
-            raise NbhdError("explicit level uses letters outside the alphabet")
-        super().__init__(alphabet, len(levels) - 1)
-        self.levels = levels
-
-    def _own_answer(self, i, w, ctx, within):
-        if w in self.levels[i]:
-            return _yes(Leaf(i, w, "explicit"))
-        return _NO_EXPLICIT
-
-    def _enumerate(self, i, budget):
-        return [(w, Leaf(i, w, "explicit")) for w in sorted(self.levels[i], key=word_key)]
-
-
 class PaddedNsys(Nsys):
     """The base system with extra {e} levels appended above its depth."""
 
@@ -811,10 +797,6 @@ def trivial_system(alphabet: IdSet, n: int) -> TrivialNsys:
     return TrivialNsys(alphabet, n)
 
 
-def explicit_system(alphabet: IdSet, levels: Iterable[Iterable[Word]]) -> ExplicitNsys:
-    return ExplicitNsys(alphabet, levels)
-
-
 def pad_system(U: Nsys, depth: int) -> Nsys:
     if depth <= U.depth:
         return U
@@ -902,9 +884,17 @@ def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:
 
 
 def rep_to_obj(rep) -> list:
-    if isinstance(rep, Leaf):
-        return ["leaf", rep.level, str(rep.word), rep.origin]
-    return ["conj", rep.level, str(rep.x), rep_to_obj(rep.left), rep_to_obj(rep.right)]
+    """The certificate as nested lists, built on an explicit stack."""
+    top, todo = [], [(rep, None)]
+    while todo:
+        node, parent = todo.pop()
+        if isinstance(node, Leaf):
+            obj = ["leaf", node.level, str(node.word), node.origin]
+        else:
+            obj = ["conj", node.level, str(node.x)]
+            todo += ((node.right, obj), (node.left, obj))
+        (top if parent is None else parent).append(obj)
+    return top[0]
 
 
 def rep_from_obj(obj) -> object:

@@ -5,6 +5,9 @@ import pytest
 
 from assgp import nbhd
 from assgp import words as wd
+from assgp.poset import DescAD, DescC, DescE
+
+from oracle import explicit_system
 
 
 def naive_reduce(letters):
@@ -50,6 +53,22 @@ def rng():
 W = wd.parse_word
 
 
+def descriptor_from_key(key: str):
+    """The descriptor whose ``key()`` is ``key``, for the kinds that key
+    stored certificates (C, AD and E)."""
+    kind, _, rest = key.partition(":")
+    if kind == "C":
+        return DescC(W(rest))
+    if kind == "AD":
+        n, g = rest.split("|")
+        return DescAD(int(n), W(g))
+    if kind == "E":
+        n, ids, g, h = rest.split("|")
+        S = wd.IdSet.from_ids(int(t) for t in ids.split(",") if t)
+        return DescE(int(n), S, W(g), W(h))
+    raise ValueError(f"bad descriptor key {key!r}")
+
+
 SHARED_BUDGET = nbhd.Budget(leaf_len=6, exp=1, nodes=30)
 
 
@@ -64,5 +83,5 @@ def shared_level_stack():
     words = {wd.reduce(list(t)) for n in range(4) for t in itertools.product(letters, repeat=n)}
     ab = wd.parse_word("a b")
     level1 = words - {ab, ab.inverse()}
-    base = nbhd.explicit_system(wd.IdSet.of(0, 1), [[wd.E], level1, [wd.E]])
+    base = explicit_system(wd.IdSet.of(0, 1), [[wd.E], level1, [wd.E]])
     return nbhd.cyclic_alphabet_extension(base, wd.IdSet.of(24))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from assgp import chain as ch
+from assgp import nbhd
 from assgp import poset as ps
 from assgp.chain import (
     ChainState,
@@ -39,7 +40,6 @@ from assgp.nbhd import (
 )
 from assgp.poset import (
     DescA,
-    DescAD,
     DescB,
     DescC,
     DescE,
@@ -51,7 +51,7 @@ from assgp.poset import (
 )
 from assgp.words import E, IdSet, letters, multiply, parse_word, reduce, single, supported_in
 
-from conftest import SHARED_BUDGET, W, rand_nonempty_word, shared_level_stack
+from conftest import SHARED_BUDGET, W, descriptor_from_key, rand_nonempty_word, shared_level_stack
 
 BUD = Budget(leaf_len=6, exp=2, nodes=120)
 a, b = single(0), single(1)
@@ -121,8 +121,22 @@ class TestChainBuild:
     def test_depth_grows_with_A(self):
         st = new_chain("t2", Mode("test", 2), BUD, 0)
         target = DescA(2)
-        st._apply_witness(target, BUD, "targeted")
+        st._apply_witness(target, "targeted")
         assert st.chain[-1].depth >= 2
+
+    def test_conjugator_table_is_built_once_per_prefix(self):
+        # the builds' layers begin with a few id prefixes in turn; each
+        # prefix's (x, x⁻¹) table is made once over the five rotations
+        nbhd._conjugator_pairs.cache_clear()
+        prefixes = set()
+        for seed in range(5):
+            st = small_chain("full", 45, seed)
+            prefixes |= {
+                tuple(itertools.islice(layer.alphabet, nbhd.CONJUGATOR_ID_CAP))
+                for layer in st.chain[-1].system.ancestors()
+                if isinstance(layer, EnrichedNsys)
+            }
+        assert nbhd._conjugator_pairs.cache_info().misses <= len(prefixes)
 
     def test_consecutive_extensions_hold(self):
         st = small_chain("full", 12)
@@ -389,7 +403,7 @@ class TestInheritedLevels:
         for entry in st.step_log:
             new = entry["new_conditions"]
             for k, recorded in zip(new, entry["reports"]):
-                bud = Budget(*recorded["budget"])  # a retry doubles the nodes
+                bud = Budget(*recorded["budget"])  # the state's budget
                 q, p = st.chain[k], st.chain[k - 1]
                 oracle = full_scan_report(q, p, bud).describe()
                 assert recorded == oracle, (entry["descriptor"], k)
@@ -558,7 +572,7 @@ class TestBasisMember:
         for key, rec in st.certs.items():
             if rec["kind"] != "E":
                 continue
-            d = ch._descriptor_from_key(key)
+            d = descriptor_from_key(key)
             g0 = W(rec["g0"])
             assert st.basis_member(rec["level"], g0).is_yes, key
             if st.chain[rec["stage"]].system.member(d.n, g0, st.budget).is_yes:
@@ -575,7 +589,7 @@ class TestBasisMember:
         n_chain, n_certs = len(st.chain), len(st.certs)
         answered = 0
         for key, rec in list(st.certs.items()):
-            d = ch._descriptor_from_key(key)
+            d = descriptor_from_key(key)
             if rec["kind"] != "E" or letters(d.g).union(letters(d.h)) != d.S:
                 continue
             out = st.conj_density_witness(d.g, d.h.inverse(), d.n)
@@ -853,9 +867,6 @@ class TestSerialization:
         st2 = deserialize(serialize(st))
         assert st2.verify_certificates() == []
 
-    def test_legacy_d_key_reads_as_ad0(self):
-        assert ch._descriptor_from_key("D:a b") == DescAD(0, parse_word("a b"))
-
     def test_cyc_cert_reads_back(self):
         st = small_chain("assgp", 6)
         recs = [r["cyc"] for r in st.certs.values() if r["kind"] == "D" and r.get("cyc")]
@@ -878,47 +889,33 @@ class TestSerialization:
         assert serialize(st) == serialize(resumed)
 
 
-class TestRetry:
-    @staticmethod
-    def failing(monkeypatch, key, fails):
-        """Make ``witness`` raise for ``key`` while ``fails(budget)`` holds;
-        returns the node budgets of the attempts on ``key``."""
+class TestFailedWitness:
+    def test_failed_witness_is_logged_once(self, monkeypatch):
+        # the chain logs a failed witness once and takes the next scheduled
+        # descriptor; nothing is retried, also after a reload
         real = ch.witness
-        budgets = []
+        attempts = []
 
         def witness(p, d, mode, budget):
-            if d.key() == key:
-                budgets.append(budget.nodes)
-                if fails(budget):
-                    raise ps.WitnessFailed("forced failure", None)
+            if d.key() == "C:a":
+                attempts.append(budget)
+                raise ps.WitnessFailed("forced failure")
             return real(p, d, mode, budget)
 
         monkeypatch.setattr(ch, "witness", witness)
-        return budgets
-
-    def test_three_retries_then_drop(self, monkeypatch):
-        budgets = self.failing(monkeypatch, "C:a", lambda budget: True)
         st = small_chain("full", 2)
-        st.run(2)  # C:a fails as scheduled, then once on retry
         mid = serialize(st)
-        assert st.retry_queue == [("C:a", 2)]
-        st.run(5)
-        tries = [e for e in st.step_log if e["descriptor"] == "C:a"]
-        assert [e["origin"] for e in tries] == ["scheduled", "retry#1", "retry#2", "retry#3"]
-        assert all(e["status"] == "failed" for e in tries)
-        assert budgets == [120, 240, 480, 960]
-        assert st.retry_queue == []
-        assert [e["origin"] for e in st.step_log[-2:]] == ["scheduled", "scheduled"]
+        st.run(6)  # C:a is the third scheduled descriptor
+        assert attempts == [BUD]
+        assert [(e["origin"], e["status"]) for e in st.step_log if e["descriptor"] == "C:a"] == [
+            ("scheduled", "failed")
+        ]
+        failed = st.step_log[2]
+        assert (failed["descriptor"], failed["reason"]) == ("C:a", "forced failure")
+        assert all(e["origin"] == "scheduled" for e in st.step_log)
+        assert all(e["status"] == "ok" for e in st.step_log[3:])
+        assert "C:a" not in st.certs and st.stage == len(st.step_log) == 8
 
         resumed = deserialize(mid)
-        resumed.run(5)
+        resumed.run(6)
         assert serialize(resumed) == serialize(st)
-
-    def test_retry_with_a_larger_budget_succeeds(self, monkeypatch):
-        self.failing(monkeypatch, "C:a", lambda budget: budget.nodes == BUD.nodes)
-        st = small_chain("full", 4)
-        assert [(e["origin"], e["status"]) for e in st.step_log[2:]] == [
-            ("scheduled", "failed"),
-            ("retry#1", "ok"),
-        ]
-        assert st.retry_queue == [] and "C:a" in st.certs

@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports, only `words`
-builds a word from raw segments, the package names each of its public
+builds a word from raw segments, the package names each of its
 definitions, and no verifier searches."""
 
 import ast
@@ -97,9 +97,10 @@ def _names_used(tree: ast.AST) -> Counter:
     return used
 
 
-def unnamed_public_definitions(sources: dict[str, str]) -> list[str]:
-    """Public module-level functions and classes, and public methods of
-    module-level classes, that no source names outside their own ``def``."""
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, and methods of module-level
+    classes, public or private but not dunders, that no source names
+    outside their own ``def``."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     out = []
@@ -111,29 +112,34 @@ def unnamed_public_definitions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.ClassDef):
                 defs.extend(n for n in node.body if isinstance(n, ast.FunctionDef))
         for node in defs:
-            if not node.name.startswith("_") and used[node.name] <= _names_used(node)[node.name]:
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and used[node.name] <= _names_used(node)[node.name]:
                 out.append(f"{name}:{node.name}")
     return sorted(out)
 
 
 def test_checker_finds_unnamed_definitions():
     sources = {
-        "a.py": "def f():\n    return f()\nclass K:\n    def m(self):\n        return g\n    def _p(self):\n        pass\n",
-        "b.py": "def g(x: 'K'):\n    return x\ndef h():\n    pass\n",
+        "a.py": (
+            "def f():\n    return f()\nclass K:\n    def m(self):\n        return g\n"
+            "    def _p(self):\n        pass\n    def __init__(self):\n        self._q()\n"
+            "    def _q(self):\n        pass\n"
+        ),
+        "b.py": "def g(x: 'K'):\n    return x\ndef h():\n    pass\ndef _r():\n    return _r\n",
     }
-    assert unnamed_public_definitions(sources) == ["a.py:f", "a.py:m", "b.py:h"]
+    assert unnamed_definitions(sources) == ["a.py:_p", "a.py:f", "a.py:m", "b.py:_r", "b.py:h"]
 
 
-# explicit_system is the test oracle for the search over small finite
-# systems; Word.segments is how the benchmark and the tests read a word's
-# canonical form, which the package itself reads from the slot
-UNNAMED_BY_DESIGN = ["nbhd.py:explicit_system", "words.py:segments"]
+# Word.segments is how the benchmark and the tests read a word's canonical
+# form, which the package itself reads from the slot
+UNNAMED_BY_DESIGN = ["words.py:segments"]
 
 
 def test_every_public_definition_is_named_in_the_package():
-    # code that only tests reach is deleted, not kept alive by its tests
+    # code that only tests reach is deleted, not kept alive by its tests;
+    # private helpers count too
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unnamed_public_definitions(sources) == UNNAMED_BY_DESIGN
+    assert unnamed_definitions(sources) == UNNAMED_BY_DESIGN
 
 
 def imports_in_functions(source: str) -> list[int]:

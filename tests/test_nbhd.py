@@ -11,7 +11,6 @@ from assgp.nbhd import (
     Leaf,
     cyclic_alphabet_extension,
     enrich,
-    explicit_system,
     identity_extension,
     letter_bound_check,
     make_base,
@@ -22,6 +21,7 @@ from assgp.poset import CycCert, verify_cyc_cert
 from assgp.words import E, IdSet, letters, multiply, power, single
 
 from conftest import SHARED_BUDGET, W, shared_level_stack
+from oracle import explicit_system
 
 A = IdSet.of(0)
 AB = IdSet.of(0, 1)
@@ -677,6 +677,42 @@ class TestSerialization:
             sys.setrecursionlimit(limit)
         assert rep == Leaf(1500, y, "extra")
         assert verdict == (True, "") and cyc == (True, "") and back == rep
+
+    def test_conjugation_chain_deeper_than_the_recursion_limit(self):
+        # one Conj per level from 0 down to a pad leaf at level 5000, under
+        # an {e} enrichment that closes every level below 5001; the walks
+        # keep their own stacks.  Deep Conj trees recurse in == and repr, so
+        # only words, verdicts and the flattened lists are compared.
+        depth = 5000
+        V = enrich(nbhd.pad_system(trivial_system(AB, 1), depth + 1), nbhd.IDENTITY_BASE, AB)
+        xs = [(a, b)[i % 2] for i in range(depth)]
+        rep = Leaf(depth, E, "pad")
+        for i in reversed(range(depth)):
+            rep = Conj(i, xs[i], rep, V.identity_rep(i + 1))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            word = rep_word(rep)
+            factors = nbhd.flatten_factors(rep)
+            inv = nbhd.invert_rep(rep)
+            inv_factors = nbhd.flatten_factors(inv)
+            obj = nbhd.rep_to_obj(rep)
+            verdicts = V.verify_rep(0, word, rep), V.verify_rep(0, E, inv)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert word == E and verdicts == ((True, ""), (True, ""))
+        # x_0 ... x_4999, the pad leaf, then each level's e and x⁻¹ upwards
+        assert factors[:depth] == xs and factors[depth : depth + 3] == [E, E, xs[-1].inverse()]
+        assert len(factors) == 3 * depth + 1
+        # the inverse swaps each node's factors: x_0, e, x_1, e, ...
+        assert inv_factors[:6] == [a, E, b, E, a, E] and len(inv_factors) == 3 * depth + 1
+        levels = []
+        while obj[0] == "conj":
+            assert obj[2] == str(xs[obj[1]])
+            assert obj[4] == nbhd.rep_to_obj(V.identity_rep(obj[1] + 1))
+            levels.append(obj[1])
+            obj = obj[3]
+        assert levels == list(range(depth)) and obj == ["leaf", depth, "e", "pad"]
 
     def test_exhausted_search_skips_enumeration(self, monkeypatch):
         # passing a layer costs no search node, so the search reaches the

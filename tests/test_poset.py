@@ -9,7 +9,6 @@ from assgp.nbhd import (
     NbhdError,
     Nsys,
     enrich,
-    explicit_system,
     make_base,
     trivial_system,
 )
@@ -37,6 +36,7 @@ from assgp.poset import (
 from assgp.words import E, IdSet, multiply, parse_word, single, supported_in
 
 from conftest import W
+from oracle import explicit_system
 
 BUD = Budget(exp=2, nodes=300)
 a, b = single(0), single(1)
@@ -276,9 +276,7 @@ class TestCycWitness:
         p = pad_levels(initial_condition(), 2)
         with pytest.raises(ps.WitnessFailed) as exc:
             cyc_witness(p, a, Mode("test", 2), Budget(exp=2, nodes=500))
-        reason, report = exc.value.args
-        assert reason == "extension report failed"
-        assert report is not None and not report.passed
+        assert exc.value.args == ("extension report failed",)
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialG):
