@@ -561,6 +561,14 @@ class ChainState:
             if not chain:
                 raise FormatError("empty chain")
             state.chain = chain
+            # each step is logged once, and the steps name every condition
+            # after the first once, in order
+            logged = [k for entry in state.step_log for k in entry["new_conditions"]]
+            if logged != list(range(1, len(chain))):
+                raise ValueError(f"the step log does not name conditions 1..{len(chain) - 1} in order")
+            scheduled = sum(entry["origin"] == "scheduled" for entry in state.step_log)
+            if scheduled != state.stage:
+                raise ValueError(f"{scheduled} scheduled steps logged at stage {state.stage}")
             for key, rec in state.certs.items():
                 if rec["kind"] not in ("C", "D", "E"):
                     raise ValueError(f"certificate {key} has unknown kind {rec['kind']!r}")

@@ -35,21 +35,21 @@ Everything else is ``unknown``: bounded search and the budgeted level
 lists are the one way to decide a level, and they cannot refute.
 
 A search node tests a word's letters only where the alphabet can reject
-it.  Each layer's level lists are made of its own letters (an enriched
-layer refuses a base or an adjoined set with others), so every word that
-an enriched layer's search builds, the word it nests one level down and
-each u⁻¹·x⁻¹·w·x for a listed u and a letter x, lies in that layer's
-alphabet.  So a layer skips the test when its alphabet is the very set of
-the layer whose search built the word (a pad's base shares the pad's set),
-and every other enriched layer tests it: in a stack, alphabets only narrow
-downwards, so those are the layers where the word can fail.  The word a
-query asks about is tested by the first enriched layer it reaches.  A pad
-tests nothing, so it never vouches for a word's letters.  Answers whose
-reason is fixed are shared frozen objects, one per reason.
+it.  An enriched layer's level lists use only its own letters, so every
+word its search builds (the word it nests one level down, and each
+u⁻¹·x⁻¹·w·x for a listed u and a letter x) lies in its alphabet.  A layer
+skips the test when its alphabet is the very set of the layer whose search
+built the word, and every other enriched layer tests it, as alphabets only
+narrow downwards.  The word a query asks about is tested by the first
+enriched layer it reaches; a pad tests nothing.  Answers whose reason is
+fixed are shared frozen objects, one per reason.
 
 An answer depends only on (system, level, word, budget).  Systems keep no
 verdicts between searches; a search remembers what it has decided only
-until it returns (see :meth:`Nsys.member`).
+until it returns (see :meth:`Nsys.member`).  What a layer does keep, per
+budget, are the level lists it builds, each stored once at its builder,
+the lists it was asked for, and a running total of their sizes; a level it
+does not build is its base's list object (see :meth:`Nsys.enumerate`).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional
+from weakref import ref
 
 from .words import (
     E,
@@ -254,9 +255,7 @@ class BaseSet:
         object.__setattr__(self, "_parts", tuple(cyclic_parts(c) for c in self.cyclic))
 
     def contains(self, w: Word) -> bool:
-        if w in self.finite:
-            return True
-        if w.is_identity() and self.cyclic:
+        if w in self.finite or (w.is_identity() and self.cyclic):
             return True
         return any(cyclic_exponent(w, parts) is not None for parts in self._parts)
 
@@ -280,17 +279,12 @@ class BaseSet:
 
 def make_base(finite: Iterable[Word] = (), cyclic: Iterable[Word] = ()) -> BaseSet:
     """Validated, deterministically ordered base set; must be symmetric."""
-    fin: dict[Word, None] = {}
-    for w in finite:
-        fin[w] = None
-    for w in list(fin):
+    fin, cyc = dict.fromkeys(finite), dict.fromkeys(cyclic)
+    for w in fin:
         if w.inverse() not in fin:
             raise AsymmetricB(f"finite base part not symmetric: missing inverse of {w}")
-    cyc: dict[Word, None] = {}
-    for c in cyclic:
-        if c.is_identity():
-            raise NbhdError("cyclic base generator must be non-trivial")
-        cyc[c] = None
+    if any(c.is_identity() for c in cyc):
+        raise NbhdError("cyclic base generator must be non-trivial")
     return BaseSet(tuple(sorted(fin, key=word_key)), tuple(sorted(cyc, key=word_key)))
 
 
@@ -304,31 +298,24 @@ IDENTITY_BASE = BaseSet((E,), ())
 
 def _conjugators(ids: Iterable[int]) -> list[Word]:
     """e, then x and x⁻¹ for each of the first CONJUGATOR_ID_CAP ids."""
-    out = [E]
-    for gid in islice(ids, CONJUGATOR_ID_CAP):
-        out.append(single(gid, 1))
-        out.append(single(gid, -1))
-    return out
+    return [E] + [single(gid, sign) for gid in islice(ids, CONJUGATOR_ID_CAP) for sign in (1, -1)]
 
 
 @lru_cache(maxsize=32)
 def _conjugator_pairs(ids: tuple[int, ...]) -> tuple[tuple[Word, Word], ...]:
     """(x, x⁻¹) for each of :func:`_conjugators` of ``ids``, the first
-    CONJUGATOR_ID_CAP ids of an alphabet.  One table serves the level builds
-    of every layer whose alphabet begins with these ids, so the conjugators
-    that the builds' ``Conj`` nodes hold are shared objects.  Layers begin
-    with a few prefixes in turn (21 in five 45-step ``full`` builds, one per
-    schedule rotation), so a table per prefix is kept, up to a fixed bound."""
+    CONJUGATOR_ID_CAP ids of an alphabet: one table, whose conjugators the
+    builds' ``Conj`` nodes share, per prefix that layers begin with (21 in
+    five 45-step ``full`` builds, one per schedule rotation)."""
     return tuple((x, x.inverse()) for x in _conjugators(ids))
 
 
 def _products(inner: list, pairs: int):
     """The distinct products u·v of a level list's words, made one at a
-    time as they are asked for: the first ``pairs`` pairs in rank order
-    (index of u plus index of v, then u's index), each product with the
-    certificates of its first pair.  No cap on products is needed: the
-    level builder lists each product it is given (x = e), so it asks for
-    no more than ``budget.nodes``."""
+    time as they are asked for, from the first ``pairs`` pairs in rank order
+    (index of u plus index of v, then u's index), each with the certificates
+    of its first pair.  The level builder lists each product it is given
+    (x = e), so it asks for no more than ``budget.nodes``."""
     seen: set[Word] = set()
     m = len(inner)
     for rank in range(2 * m - 1):
@@ -345,10 +332,9 @@ def _products(inner: list, pairs: int):
 
 class _SearchCtx:
     """One ``member`` search: its node budget, and the verdict of each layer
-    that asked its base, keyed by (layer, level, word), for that search only.
-    A verdict does not depend on whether the layer tested the word's letters
-    or knew them to lie in its alphabet, so one entry serves every path of
-    the search to it; entries with a fixed reason are the shared answers."""
+    that asked its base, keyed by (layer, level, word), for that search only;
+    one entry serves every path of the search to it, whether or not the
+    layer tested the word's letters."""
 
     __slots__ = ("budget", "nodes_left", "memo")
 
@@ -358,14 +344,33 @@ class _SearchCtx:
         self.memo: dict = {}
 
 
+class _Level:
+    """A level list, a weak reference to its builder (a strong one would put
+    every layer on a cycle), and what the conjugation search reads from it,
+    made on first use: each word's inverse, in order, and the list's letters."""
+
+    __slots__ = ("items", "owner", "_search")
+
+    def __init__(self, items: list, owner: "Nsys"):
+        self.items, self.owner, self._search = items, ref(owner), None
+
+    def search(self) -> tuple[list[Word], IdSet]:
+        if self._search is None:
+            sup = IdSet.empty()
+            for w, _ in self.items:
+                sup = sup.union(letters(w))
+            self._search = ([w.inverse() for w, _ in self.items], sup)
+        return self._search
+
+
 class Nsys:
     """Abstract finite neighbourhood system.  Immutable; compared by identity.
 
     A layer keeps its base (None at a root), the stack's root (its bottom
     layer), ``closed``, the depth of its builder (the highest layer that is
     not a pad) when that is an enriched layer and 0 otherwise, and only
-    what its levels determine: the enumeration lists, which depend on
-    (level, budget)."""
+    what its levels determine, per budget: the level lists it builds, the
+    lists it was asked for, and the sums of :meth:`list_sizes`."""
 
     alphabet: IdSet
     depth: int
@@ -379,7 +384,8 @@ class Nsys:
         # the root refers to itself, one cycle per stack; ``closed`` is a depth,
         # as the builder would make every enriched layer a cycle
         self.closed = 0
-        self._enum_cache: dict = {}
+        self._lists: dict = {}  # (level, budget.key()) -> _Level
+        self._sizes: dict = {}  # budget -> list_sizes
 
     # -- membership ---------------------------------------------------------
 
@@ -388,11 +394,9 @@ class Nsys:
         answer depends only on (system, i, w, budget).  A search node is an
         enriched layer's nesting step or one conjugation candidate; handing
         a level to the base costs none, so the budget reaches a deep stack's
-        lowest layers.  w's letters are tested by the first enriched layer
-        it reaches; a word the search builds is tested only by the layers
-        below the searching one whose alphabet is narrower (see the module
-        docstring).  An answer with a fixed reason is a shared frozen
-        object: compare answers by value."""
+        lowest layers.  Letters are tested as the module docstring says.  An
+        answer with a fixed reason is a shared frozen object: compare answers
+        by value."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         return self._member(i, w, _SearchCtx(budget))
@@ -417,50 +421,79 @@ class Nsys:
         self, i: int, w: Word, ctx: _SearchCtx, within: "IdSet | None"
     ) -> "MembershipAnswer | None":
         """The answer this layer gives without its base, or None to ask the
-        base; ``_after_base(i, w, base_answer, ctx)`` then gives the answer.
-        ``within`` is an alphabet known to hold w's letters, or None."""
+        base and then ``_after_base(i, w, base_answer, ctx)``.  ``within``
+        is an alphabet known to hold w's letters, or None."""
         raise NotImplementedError
 
     # -- enumeration ----------------------------------------------------------
 
     def enumerate(self, i: int, budget: Budget = DEFAULT_BUDGET) -> list[tuple[Word, object]]:
-        """Level i's members as (word, certificate) pairs, sorted and cached.
-        An inherited level is the base's list object: a certificate made in
-        the base is already one of this layer's."""
+        """Level i's members as (word, certificate) pairs, sorted.  A level
+        this layer does not build is its base's list object: a certificate
+        made in the base is already one of this layer's."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
-        key = (i, budget.key())
-        if key not in self._enum_cache:
-            # Walk down the layers that have not enumerated level i yet and
-            # fill their caches root-upwards, so that a reloaded deep stack of
-            # cold layers does not recurse once per layer.
-            cold = []
-            layer = self
-            while key not in layer._enum_cache:
-                cold.append(layer)
-                if layer.base is None or i > layer.base.depth:
-                    break
-                layer = layer.base
-            for layer in reversed(cold):
-                layer._enum_cache[key] = layer._enumerate(i, budget)
-        return self._enum_cache[key]
+        return self._level(i, budget).items
 
-    def _enumerate(self, i, budget):
-        raise NotImplementedError
+    def _level(self, i: int, budget: Budget) -> _Level:
+        key = (i, budget.key())  # the layer asked remembers the list
+        return self._lists.get(key) or self._lists.setdefault(key, self._resolve(i, budget))
 
-    def _enum_search(self, i: int, budget: Budget) -> tuple[list[Word], IdSet]:
-        """The inverse of each word of level i's list, in list order, and the
-        letters the list uses: what the conjugation search reads from it,
-        built once beside the list."""
-        key = ("search", i, budget.key())
-        if key not in self._enum_cache:
-            inverses = []
-            sup = IdSet.empty()
-            for w, _ in self.enumerate(i, budget):
-                inverses.append(w.inverse())
-                sup = sup.union(letters(w))
-            self._enum_cache[key] = (inverses, sup)
-        return self._enum_cache[key]
+    def _resolve(self, i: int, budget: Budget) -> _Level:
+        # Walk down to the nearest layer that stores level i or has no base
+        # level i, then back up, each layer passed keeping the list below it
+        # or building its own: no recursion, and no lists for layers passed.
+        passed, layer, key = [], self, (i, budget.key())
+        while (found := layer._lists.get(key)) is None and layer.base and i <= layer.base.depth:
+            passed.append(layer)
+            layer = layer.base
+        found = found or layer._over(i, None, budget)
+        for layer in reversed(passed):
+            found = layer._over(i, found, budget)
+        return found
+
+    def _over(self, i: int, below: "_Level | None", budget: Budget) -> _Level:
+        """Level i from the base's (None if it has none): the base's if
+        ``_own_list(i, below_items, budget)`` keeps it, else the list built."""
+        items = self._own_list(i, below and below.items, budget)
+        if below is None or items is not below.items:
+            below = self._lists[(i, budget.key())] = _Level(items, self)
+        return below
+
+    def levels_kept(self, budget: Budget) -> dict[int, tuple[list, "Nsys"]]:
+        """The lists this layer stores at budget, by level, each with its
+        builder: those it built and those it was asked for.  After
+        :meth:`list_sizes`, each list it builds is here, but a pad's {e}."""
+        return {i: (lv.items, lv.owner()) for (i, b), lv in self._lists.items() if b == budget.key()}
+
+    def list_sizes(self, budget: Budget) -> tuple[tuple[int, ...], int]:
+        """(short, total) at budget: levels among which is every level whose
+        list has fewer than ``budget.nodes`` words, and the sum of all the
+        level list sizes.  Each layer derives its pair from its base's."""
+        passed, layer = [], self
+        while (sizes := layer._sizes.get(budget)) is None and layer.base:
+            passed.append(layer)
+            layer = layer.base
+        sizes = sizes or layer._sizes.setdefault(budget, layer._sizes_over(None, budget))
+        for layer in reversed(passed):
+            sizes = layer._sizes[budget] = layer._sizes_over(sizes, budget)
+        return sizes
+
+    def _sizes_over(self, below: "tuple | None", budget: Budget) -> tuple[tuple[int, ...], int]:
+        # A layer keeps every full base list below its depth, so it builds
+        # at most the base's short levels, its levels above the base's depth
+        # (all of a root's) and its depth.  It reads them the deepest first,
+        # so a level it builds finds the one above it stored.
+        short, total = below or ((), 0)
+        top = self.base.depth if self.base else -1
+        still_short = []
+        for i in sorted({*short, *range(top + 1, self.depth + 1), self.depth}, reverse=True):
+            base = self.base._resolve(i, budget) if i <= top else None
+            level = self._lists.get((i, budget.key())) or self._over(i, base, budget)
+            total += len(level.items) - (len(base.items) if base else 0)
+            if len(level.items) < budget.nodes:
+                still_short.append(i)
+        return tuple(still_short), total
 
     def identity_rep(self, i: int):
         """The certificate of e at level i: a pad's leaf above the root's depth, else the root's."""
@@ -487,11 +520,9 @@ class Nsys:
         if not 0 <= i <= self.depth:
             return False, f"level {i} outside 0..{self.depth}"
         ok, why = self._verify_structure(i, rep)
-        if not ok:
-            return False, why
-        if rep_word(rep) != w:
+        if ok and rep_word(rep) != w:
             return False, "factor product differs from certified word"
-        return True, ""
+        return ok, why
 
     def _verify_structure(self, i: int, rep) -> tuple[bool, str]:
         """A leaf of level L holds at position i when a layer at or below this
@@ -513,11 +544,9 @@ class Nsys:
                 if node.level != i or i >= self.closed:
                     return False, "conjugation node at an invalid level"
                 x = node.x
-                if not x.is_identity():
-                    if x.length != 1 or not supported_in(x, self.alphabet):
-                        return False, "conjugator is not an ambient letter"
-                todo.append((i + 1, node.right))
-                todo.append((i + 1, node.left))
+                if not x.is_identity() and (x.length != 1 or not supported_in(x, self.alphabet)):
+                    return False, "conjugator is not an ambient letter"
+                todo += ((i + 1, node.right), (i + 1, node.left))
             else:
                 return False, "unknown certificate node"
         return True, ""
@@ -532,11 +561,8 @@ class Nsys:
         if leaf.origin == "pad":
             return root.depth < L <= self.depth and leaf.word.is_identity()
         if leaf.origin != "extra":
-            return (
-                leaf.origin == root.origin
-                and L <= root.depth
-                and root._own_answer(L, leaf.word, None, None).is_yes
-            )
+            own = leaf.origin == root.origin and L <= root.depth
+            return own and root._own_answer(L, leaf.word, None, None).is_yes
         layer = self
         while layer is not None and layer.depth >= L:
             if layer.depth == L and isinstance(layer, EnrichedNsys) and layer.extra.contains(leaf.word):
@@ -548,14 +574,11 @@ class Nsys:
         """This layer and the layers below it, top first, down to but not
         including ``stop``; the whole stack when ``stop`` is None.  Raises
         NbhdError when ``stop`` is neither this layer nor one below it."""
-        out: list[Nsys] = []
-        layer = self
+        out, layer = [], self
         while layer is not stop:
+            if layer is None:
+                raise NbhdError("system is not stacked on the given one")
             out.append(layer)
-            if layer.base is None:
-                if stop is not None:
-                    raise NbhdError("system is not stacked on the given one")
-                break
             layer = layer.base
         return out
 
@@ -574,11 +597,9 @@ class TrivialNsys(Nsys):
         super().__init__(alphabet, depth)
 
     def _own_answer(self, i, w, ctx, within):
-        if w.is_identity():
-            return _yes(Leaf(i, E, "trivial"))
-        return _NO_TRIVIAL
+        return _yes(Leaf(i, E, "trivial")) if w.is_identity() else _NO_TRIVIAL
 
-    def _enumerate(self, i, budget):
+    def _own_list(self, i, below, budget):
         return [(E, Leaf(i, E, "trivial"))]
 
     def node_obj(self):
@@ -599,17 +620,17 @@ class PaddedNsys(Nsys):
         # tests w against it unless the search built w inside it
         if i <= self.base.depth:
             return None
-        if w.is_identity():
-            return _yes(Leaf(i, E, "pad"))
-        return _NO_PADDED
+        return _yes(Leaf(i, E, "pad")) if w.is_identity() else _NO_PADDED
 
     def _after_base(self, i, w, base_ans, ctx):
         return base_ans
 
-    def _enumerate(self, i, budget):
-        if i <= self.base.depth:
-            return self.base.enumerate(i, budget)
-        return [(E, Leaf(i, E, "pad"))]
+    def _own_list(self, i, below, budget):
+        return [(E, Leaf(i, E, "pad"))] if below is None else below
+
+    def _sizes_over(self, below, budget):
+        own = range(self.base.depth + 1, self.depth + 1)  # {e} each, built when read
+        return (*below[0], *own), below[1] + len(own)
 
     def node_obj(self):
         return {"kind": "pad", "depth": self.depth}
@@ -636,13 +657,10 @@ class EnrichedNsys(Nsys):
 
     Level n is U_n ∪ B; level i < n is U_i together with all x·V_{i+1}·V_{i+1}·x⁻¹
     for x in the ambient alphabet's letters and e.  A level i < n whose base
-    level enumerates ``budget.nodes`` words is inherited (the conjugation pass
-    could add nothing): :meth:`_enumerate` returns the base's list itself,
-    whose certificates verify in this layer unchanged.  Any other level
-    i < n is built from level i + 1's list by :meth:`_build_level`, which
-    makes a product u·v only when its conjugation pass asks for one, adds
-    only e for a product equal to e, and shares its conjugator pairs
-    (x, x⁻¹) with the layers whose alphabets begin with the same ids.
+    list holds ``budget.nodes`` words or more, whatever its size, is that
+    list object (the conjugation pass could add nothing), and its
+    certificates verify here unchanged.  :meth:`_build_level` builds level n
+    and every other level; the levels built need not be a top run.
 
     ``bounded_base_size`` is the base alphabet's size when this layer is a
     cyclic fresh-letter or {e} enrichment, where the letter-count bound
@@ -692,9 +710,7 @@ class EnrichedNsys(Nsys):
         if i == self.depth:
             if self.extra.contains(w):
                 return _yes(Leaf(i, w, "extra"))
-            if base_ans.is_no:
-                return _NO_BASE_OR_EXTRA
-            return _UNKNOWN_BASE
+            return _NO_BASE_OR_EXTRA if base_ans.is_no else _UNKNOWN_BASE
         if ctx.nodes_left <= 0:
             return _UNKNOWN_BUDGET
         ctx.nodes_left -= 1
@@ -707,15 +723,15 @@ class EnrichedNsys(Nsys):
         if ctx.nodes_left <= 0:
             return _UNKNOWN_BUDGET
 
-        inner = self.enumerate(i + 1, ctx.budget)
-        inverses, support = self._enum_search(i + 1, ctx.budget)
+        inner = self._level(i + 1, ctx.budget)
+        inverses, support = inner.search()
         # A working conjugator must appear in w or cancel into the factors,
         # so searching letters of w and of the enumerated children is
         # complete relative to the enumeration.
         candidate_ids = letters(w).union(support)
         for x in _conjugators(candidate_ids.intersection(self.alphabet)):
             wx = conjugate(x.inverse(), w, x)
-            for (_, urep), u_inv in zip(inner, inverses):
+            for (_, urep), u_inv in zip(inner.items, inverses):
                 if ctx.nodes_left <= 0:
                     return _UNKNOWN_BUDGET
                 ctx.nodes_left -= 1
@@ -729,36 +745,32 @@ class EnrichedNsys(Nsys):
 
     # -- enumeration -----------------------------------------------------------
 
-    def _enumerate(self, i, budget):
-        # Level i < n is built from level i + 1: build the cold levels it
-        # rests on from the deepest upwards, so that a layer over a deep pad
-        # does not recurse once per level.
-        key = budget.key()
-        top = i
+    def _own_list(self, i, below, budget):
+        if i < self.depth and len(below) >= budget.nodes:
+            return below
+        # Level j < n is built from level j + 1: find the cold levels above
+        # i that level i rests on and build them first, the deepest first,
+        # so that a layer over a deep pad does not recurse once per level.
+        j = i + 1
         while (
-            top < self.depth
-            and (top + 1, key) not in self._enum_cache
-            and len(self.base.enumerate(top, budget)) < budget.nodes
+            j < self.depth
+            and (j, budget.key()) not in self._lists
+            and len(self.base._resolve(j, budget).items) < budget.nodes
         ):
-            top += 1
-        for level in range(top, i, -1):
-            self._enum_cache[(level, key)] = self._build_level(level, budget)
-        return self._build_level(i, budget)
+            j += 1
+        for k in range(min(j, self.depth), i, -1):
+            self._level(k, budget)
+        return self._build_level(i, below, budget)
 
-    def _build_level(self, i, budget):
-        """Level i's list from the base's, and from level i + 1's cached list
-        when i < n and the base's holds fewer than ``budget.nodes`` words:
-        the products u·v of that list's words, made one at a time by
-        :func:`_products`, conjugated by each x of the shared
-        :func:`_conjugator_pairs` table until the list is full.  A product
-        equal to e adds only e, as every conjugate of e is e.  Each product
-        is formatted once before :func:`~assgp.words.conjugate` makes its
-        conjugates, so the conjugates that join x and x⁻¹ on without a
-        stretch across the junction carry their text to the sort."""
-        base = self.base.enumerate(i, budget)
-        if i < self.depth and len(base) >= budget.nodes:
-            return base
-        items = dict(base)
+    def _build_level(self, i, below, budget):
+        """Level i's list from the base's list ``below`` and, when i < n,
+        from level i + 1's stored list: the products u·v of its words, made
+        one at a time by :func:`_products`, conjugated by each x of the
+        shared :func:`_conjugator_pairs` table until the list holds
+        ``budget.nodes`` words.  A product equal to e adds only e.  Each
+        product is formatted once, so the conjugates that join x and x⁻¹ on
+        without a stretch across the junction carry their text to the sort."""
+        items = dict(below)
         if i == self.depth:
             for w in self.extra.enumerate(budget):
                 items.setdefault(w, Leaf(i, w, "extra"))
@@ -766,7 +778,7 @@ class EnrichedNsys(Nsys):
 
         conjs = _conjugator_pairs(tuple(islice(self.alphabet, CONJUGATOR_ID_CAP)))
         pairs = budget.nodes * UV_PAIR_FACTOR
-        for prod, urep, vrep in _products(self.enumerate(i + 1, budget), pairs):
+        for prod, urep, vrep in _products(self._level(i + 1, budget).items, pairs):
             if prod.is_identity():
                 items.setdefault(E, Conj(i, E, urep, vrep))
             else:
@@ -845,13 +857,6 @@ def letter_bound_check(rep, base_alphabet_size: int, n: int, i: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def base_set_from_obj(obj: dict) -> BaseSet:
-    return make_base(
-        finite=[parse_word(t) for t in obj.get("finite", [])],
-        cyclic=[parse_word(t) for t in obj.get("cyclic", [])],
-    )
-
-
 def system_layers(U: Nsys, stop: Optional[Nsys] = None) -> list[dict]:
     """Layer descriptions root-first, or only those stacked above the
     ancestor ``stop``; rebuild with :func:`system_from_layers`."""
@@ -867,9 +872,8 @@ def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:
         elif kind == "pad":
             sys_ = PaddedNsys(sys_, obj["depth"])
         elif kind == "enrich":
-            sys_ = EnrichedNsys(
-                sys_, base_set_from_obj(obj["extra"]), IdSet.from_intervals(obj["alphabet"])
-            )
+            parts = ([parse_word(t) for t in obj["extra"].get(part, [])] for part in ("finite", "cyclic"))
+            sys_ = EnrichedNsys(sys_, make_base(*parts), IdSet.from_intervals(obj["alphabet"]))
             stored = obj.get("bounded_base_size")
             if stored != sys_.bounded_base_size:  # derived, so stored must agree
                 raise NbhdError(

@@ -192,23 +192,24 @@ def is_extension(q: Condition, p: Condition, budget: Budget = DEFAULT_BUDGET) ->
     demands membership in p's level; an exact refusal is a violation with a
     concrete witness word.
 
-    A level of q that is p's list object (an inherited level, see
-    ``Nsys.enumerate``) holds exactly p's words.  Each of them is in p's
-    level and, by axiom (1), in F(X_p), so the scan would count all of
-    them and find nothing: the level adds its size to ``checked`` and is
-    skipped.
+    A level that no layer between q and p builds is p's list object: it
+    holds exactly p's words, each in p's level and, by axiom (1), in F(X_p),
+    so a scan would count them all and find nothing.  Only the levels that
+    the enriched layers between them build (``Nsys.levels_kept``, once
+    ``Nsys.list_sizes`` has made them build) are scanned, as a pad builds
+    none up to p's depth; the others add their sizes to ``checked`` through
+    p's running total.
     """
-    q.system.ancestors(p.system)  # raises unless q is stacked on p
+    layers = q.system.ancestors(p.system)  # raises unless q is stacked on p
+    q.system.list_sizes(budget)  # so every layer has built what it builds
+    built = {i for layer in layers for i, (_, by) in layer.levels_kept(budget).items() if by is layer}
+    p_levels = {i: p.system.enumerate(i, budget) for i in sorted(built) if i <= p.depth}
     rpt = ExtensionReport(budget_key=budget.key(), pair=(q, p))
+    rpt.checked = p.system.list_sizes(budget)[1] - sum(map(len, p_levels.values()))
     p_alphabet = p.alphabet
-    for i in range(p.depth + 1):
-        q_level = q.system.enumerate(i, budget)
-        p_level = p.system.enumerate(i, budget)
-        if q_level is p_level:
-            rpt.checked += len(p_level)
-            continue
+    for i, p_level in p_levels.items():
         p_words = {w for w, _ in p_level}
-        for w, _ in q_level:
+        for w, _ in q.system.enumerate(i, budget):
             if not supported_in(w, p_alphabet):
                 continue
             rpt.checked += 1
@@ -319,14 +320,10 @@ def parse_mode(text: str) -> Mode:
 
 
 def safe_k(mode: Mode, p: Condition) -> int:
-    """Fresh-letter count for witness steps.
-
-    Paper mode: the threshold guarantee.  Test mode: at least depth+1, since
-    depth-many conjugations can strip depth letters off f.
-    """
-    if mode.kind == "paper":
-        return paper_k(p)
-    return max(mode.k, p.depth + 1)
+    """Fresh-letter count for witness steps: in paper mode the threshold
+    guarantee, in test mode at least depth+1, since depth-many conjugations
+    can strip depth letters off f."""
+    return paper_k(p) if mode.kind == "paper" else max(mode.k, p.depth + 1)
 
 
 def _adjoin(
@@ -364,11 +361,10 @@ def conj_extension(
 ) -> ConjExtension:
     """Adjoin ⟨g0⟩ for g0 = f·g·f⁻¹·h over k fresh letters.
 
-    g0 lands in the deepest level by construction, and its certificate is
-    the leaf of the layer that adjoins it (:meth:`Nsys.adjoined_rep`), built
-    without a search.  In test mode the extension property is checked over
-    the full budgeted enumeration; in paper mode (k at threshold) it is
-    guaranteed and only spot-checked with a small budget.
+    g0 lands in the deepest level by construction; its certificate is the
+    leaf of the layer that adjoins it (:meth:`Nsys.adjoined_rep`).  In test
+    mode the extension property is checked at the budget; in paper mode (k
+    at threshold) it is guaranteed and only spot-checked with a small budget.
     """
     k = paper_k(p) if mode.kind == "paper" else mode.k
     q, setting = _adjoin(p, g, h, k)

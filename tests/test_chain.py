@@ -52,6 +52,7 @@ from assgp.poset import (
 from assgp.words import E, IdSet, letters, multiply, parse_word, reduce, single, supported_in
 
 from conftest import SHARED_BUDGET, W, descriptor_from_key, rand_nonempty_word, shared_level_stack
+from oracle import reference_extension_report
 
 BUD = Budget(leaf_len=6, exp=2, nodes=120)
 a, b = single(0), single(1)
@@ -477,6 +478,77 @@ def test_skip_matches_the_full_scan_off_the_chain():
     assert is_extension(q, p, BUD).violations
     assert v.enumerate(0, small) is u.enumerate(0, small)
     assert v.enumerate(v.depth, small) is not u.enumerate(v.depth, small)
+
+
+class TestExtensionReference:
+    """is_extension scans only the levels the layers between q and p build
+    and takes the other levels' sizes from a running total; the reference
+    scans every level and skips one only where q's list is p's."""
+
+    @pytest.mark.parametrize("preset", ["t2", "assgp", "simple", "full"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_step_report_matches_the_reference(self, preset, seed):
+        st = built_chain(preset, 120, seed)
+        # the same pairs on a reloaded copy, asked top first, build nothing
+        # before is_extension asks
+        cold = deserialize(serialize(st))
+        pairs = []
+        for entry in st.step_log:
+            new = entry["new_conditions"]
+            pairs += [(k, k - 1, recorded) for k, recorded in zip(new, entry["reports"])]
+            for recorded in entry["reports"][len(new) :]:  # the witness's own report
+                assert recorded == entry["reports"][len(new) - 1], entry["descriptor"]
+            if len(new) > 1:  # the whole step, over several layers
+                pairs.append((new[-1], new[0] - 1, None))
+        for hi, lo, recorded in pairs:
+            want = reference_extension_report(st.chain[hi], st.chain[lo], BUD).describe()
+            assert recorded in (None, want), (hi, lo)
+            assert is_extension(st.chain[hi], st.chain[lo], BUD).describe() == want
+        for hi, lo, _ in reversed(pairs):
+            got = is_extension(cold.chain[hi], cold.chain[lo], BUD).describe()
+            assert got == reference_extension_report(st.chain[hi], st.chain[lo], BUD).describe()
+
+    def test_a_level_inherited_between_built_ones(self):
+        # the extension builds levels 0 and 2 and keeps its root's level 1,
+        # which holds 51 words at 30 nodes
+        q, ref = (Condition(shared_level_stack()) for _ in range(2))
+        p, ref_p = Condition(q.system.base), Condition(ref.system.base)
+        got = is_extension(q, p, SHARED_BUDGET).describe()  # on a cold stack
+        assert got == reference_extension_report(ref, ref_p, SHARED_BUDGET).describe()
+        assert len(p.system.enumerate(1, SHARED_BUDGET)) == 51
+        assert is_extension(q, p, SHARED_BUDGET).describe() == got
+        kept = q.system.levels_kept(SHARED_BUDGET)
+        assert sorted(i for i, (_, by) in kept.items() if by is q.system) == [0, 2]
+
+
+class TestLevelStore:
+    def test_entries_stay_near_the_distinct_lists(self):
+        # a layer stores the lists it builds and those it was asked for,
+        # not a list per level below it
+        st = built_chain("assgp", 240, 0)
+        layers = st.chain[-1].system.ancestors()
+        kept = [layer.levels_kept(BUD) for layer in layers]
+        entries = sum(map(len, kept))
+        distinct = {id(items) for k in kept for items, _ in k.values()}
+        built = [items for layer, k in zip(layers, kept) for items, by in k.values() if by is layer]
+        assert len(built) == len(distinct) == len({id(items) for items in built})
+        assert entries <= 2 * len(distinct), (entries, len(distinct))
+
+    def test_a_cold_query_builds_few_levels(self, monkeypatch):
+        # one basis_member on a reloaded full-240 builds 5 lists; the
+        # per-level cache called _build_level 90 times, once for each level
+        # a layer inherited too
+        cold = deserialize(serialize(built_chain("full", 240, 0)))
+        calls = []
+        build = EnrichedNsys._build_level
+
+        def counting(self, *args):
+            calls.append(self)
+            return build(self, *args)
+
+        monkeypatch.setattr(EnrichedNsys, "_build_level", counting)
+        cold.basis_member(1, W("a b"))
+        assert len(calls) == 5
 
 
 def stage_walk(st, n, w, budget=BUD):

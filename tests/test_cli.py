@@ -195,11 +195,21 @@ class TestStateCommands:
             lambda o: _first_enrich(o).update(alphabet=[[1, 3]]),
             lambda o: _first_enrich(o)["extra"].update(cyclic=["x99"]),
         ]
-        for edit in edits:
+        # the step log names each condition after the first once, in order,
+        # and logs one scheduled entry per stage; these are refused on load
+        loaded = [
+            lambda o: o["chain"].append(
+                {"base": len(o["chain"]) - 1, "layers": [{"kind": "pad", "depth": 10**4}]}
+            ),
+            lambda o: o["step_log"][-1]["new_conditions"].append(len(o["chain"]) - 1),
+            lambda o: o.update(stage=o["stage"] + 1),
+        ]
+        for edit in edits + loaded:
             broken = json.loads(state.read_text())
             edit(broken)
             bad.write_text(json.dumps(broken))
-            for argv in (["export"], ["query", "member"]):
+            commands = (["export"], ["query", "member"]) + ((["check-axioms"],) if edit in loaded else ())
+            for argv in commands:
                 assert run([*argv, "--state", bad]) == EXIT_USAGE
                 err = capsys.readouterr().err
                 assert "malformed" in err and "Traceback" not in err

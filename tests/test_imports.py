@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, only `words`
 builds a word from raw segments, the package names each of its
-definitions, and no verifier searches."""
+definitions, no verifier searches, and only `nbhd` reads a layer's level
+store."""
 
 import ast
 from collections import Counter
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "assgp"
+TESTS = Path(__file__).resolve().parent
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
@@ -227,3 +229,39 @@ def test_checker_finds_searching_verifiers():
 def test_verifiers_do_not_search(path):
     # a certificate re-verifies independently of the search that found it
     assert searching_verifiers(path.read_text()) == []
+
+
+# the attribute that holds a layer's level lists; everything else reads them
+# through Nsys.enumerate and Nsys.levels_kept
+STORE = "_lists"
+
+
+def store_reads(source: str) -> list[int]:
+    """Lines that name the level store, as an attribute or a bare name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == STORE)
+        or (isinstance(node, ast.Name) and node.id == STORE)
+    )
+
+
+def test_checker_finds_store_reads():
+    source = (
+        "def f(layer):\n"
+        "    return layer._lists\n"
+        "_lists = {}\n"
+        "g = layer.levels_kept(b)\n"
+        "h = '_lists'\n"
+        "k = getattr(layer, 'x')._lists.get(1)\n"
+    )
+    assert store_reads(source) == [2, 3, 6]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")] if p.name != "nbhd.py"),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_nbhd_reads_the_level_store(path):
+    assert store_reads(path.read_text()) == []

@@ -261,7 +261,9 @@ class TestEnumerationCap:
         assert V.enumerate(0, bud) is base
         for w, r in base:
             assert V.verify_rep(0, w, r) == (True, "")
-        assert (1, bud.key()) not in V._enum_cache
+        # V remembers U's list, built by U, and has built no level to reach it
+        kept = V.levels_kept(bud)
+        assert kept.keys() == {0} and kept[0][0] is base and kept[0][1] is U
 
     def test_level_below_cap_gains_conjugates(self):
         bud = Budget(6, 2, 120)
@@ -271,7 +273,10 @@ class TestEnumerationCap:
         items = V.enumerate(0, bud)
         assert len(items) > len(base)
         assert any(isinstance(r, Conj) and not r.x.is_identity() for _, r in items)
-        assert (1, bud.key()) in V._enum_cache
+        # V built level 0 from its own level 1, that from level 2, and stored them
+        kept = V.levels_kept(bud)
+        assert kept.keys() == {0, 1, 2} and kept[0][0] is items
+        assert kept[1][0] is V.enumerate(1, bud) and {by for _, by in kept.values()} == {V}
 
 
 def eager_level(V, i, budget):
