@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, reduce as fold
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .words import (
@@ -32,9 +34,8 @@ from .words import (
     fresh_run,
     is_concatenation,
     junction_cancels,
-    letters,
     multiply,
-    power,
+    occurs,
     reduce as reduce_word,
     split_at,
     supported_in,
@@ -98,8 +99,12 @@ class ConjSetting:
             raise ValueError(f"j0 must be in 1..{self.k}")
         return fresh_run(self.fresh_start + j0 - 1, self.k - j0 + 1)
 
+    # f⁻¹ and g0⁻¹, made once on first use; not fields, so equality and repr ignore them
+    f_inv = cached_property(lambda self: self.f.inverse())
+    g0_inv = cached_property(lambda self: self.g0.inverse())
+
     def v(self, sign: int) -> Word:
-        return self.g0 if sign == 1 else self.g0.inverse()
+        return self.g0 if sign == 1 else self.g0_inv
 
 
 def make_setting(
@@ -144,7 +149,8 @@ class HypInstance:
 
     Structural invariants checked at construction: the fresh letter y_{j0}
     appears in no w_i, and signs are ±1.  Whether the product lands in F(X)
-    is the business of :func:`check_hypothesis`.
+    is the business of :func:`check_hypothesis`.  The product h* is made
+    once (``hstar``): :func:`check_hypothesis` and :func:`collapse_check` share it.
     """
 
     setting: ConjSetting
@@ -159,7 +165,7 @@ class HypInstance:
             raise CancelError("signs must be ±1")
         yid = self.setting.y_letter_id(self.j0)
         for i, w in enumerate(self.ws):
-            if yid in letters(w):
+            if occurs(yid, w):
                 raise CancelError(f"w_{i + 1} contains the reserved fresh letter y_{self.j0}")
             if not supported_in(w, self.setting.y_alphabet):
                 raise CancelError(f"w_{i + 1} leaves the ambient alphabet")
@@ -168,14 +174,17 @@ class HypInstance:
     def n(self) -> int:
         return len(self.signs)
 
+    @cached_property
+    def hstar(self) -> Word:
+        acc = E
+        for w, s in zip(self.ws, self.signs):
+            acc = multiply(multiply(acc, w), self.setting.v(s))
+        return multiply(acc, self.ws[-1])
+
 
 def build_hstar(inst: HypInstance) -> Word:
-    """The reduced product of the instance."""
-    acc = E
-    for w, s in zip(inst.ws, inst.signs):
-        acc = multiply(acc, w)
-        acc = multiply(acc, inst.setting.v(s))
-    return multiply(acc, inst.ws[-1])
+    """The reduced product of the instance, made once per instance."""
+    return inst.hstar
 
 
 def check_hypothesis(inst: HypInstance) -> bool:
@@ -185,10 +194,7 @@ def check_hypothesis(inst: HypInstance) -> bool:
 
 def separator_product(inst: HypInstance) -> Word:
     """w_1·w_2·...·w_{n+1}: the product with every v_i deleted."""
-    acc = E
-    for w in inst.ws:
-        acc = multiply(acc, w)
-    return acc
+    return fold(multiply, inst.ws, E)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,8 @@ def same_sign_decompose(inst: HypInstance, N: int) -> Decomposition:
     the factors multiply back to the directly reduced prefix product, a ≠ e,
     and sampled words g^l·a·g^k are non-trivial and share g's first and last
     letters.  Failure of any re-check raises :class:`DecompositionFailed`.
+    The samples make each g^l and each g^l·a once; the prefix product is kept
+    for :func:`same_sign_not_in_FX`, which reuses it.
     """
     st = inst.setting
     if not 1 <= N <= inst.n:
@@ -226,7 +234,7 @@ def same_sign_decompose(inst: HypInstance, N: int) -> Decomposition:
     if any(s != 1 for s in inst.signs[:N]):
         raise SignMismatch("decomposition needs an all-positive prefix")
 
-    f, g, h = st.f, st.g, st.h
+    f, f_inv, g, h = st.f, st.f_inv, st.g, st.h
     f_j0 = st.f_sub(inst.j0)
 
     # Base case: w_1·f cancels at most the first j0-1 letters of f.
@@ -239,13 +247,10 @@ def same_sign_decompose(inst: HypInstance, N: int) -> Decomposition:
     for t in range(1, N):
         # a ← reduced bracket a·f⁻¹·h·w_{t+1}·f·g; the surrounding pieces of
         # the factorization are unchanged.
-        a = multiply(a, f.inverse())
-        a = multiply(a, h)
-        a = multiply(a, inst.ws[t])
-        a = multiply(a, f)
-        a = multiply(a, g)
+        for piece in (f_inv, h, inst.ws[t], f, g):
+            a = multiply(a, piece)
 
-    pieces = [w1p, fp, f_j0, a, f.inverse(), h]
+    pieces = [w1p, fp, f_j0, a, f_inv, h]
     prefix = E
     for w, s in zip(inst.ws[:N], inst.signs[:N]):
         prefix = multiply(multiply(prefix, w), st.v(s))
@@ -255,16 +260,15 @@ def same_sign_decompose(inst: HypInstance, N: int) -> Decomposition:
     for left, right in zip(pieces, pieces[1:]):
         if not is_concatenation(left, right):
             raise DecompositionFailed(f"junction {left} | {right} cancels")
-    prod = E
-    for p in pieces:
-        prod = multiply(prod, p)
-    if prod != prefix:
+    if fold(multiply, pieces, E) != prefix:
         raise DecompositionFailed("factorization does not re-multiply to the prefix")
     if a.first != g.first or a.last != g.last:
         raise DecompositionFailed("middle factor does not share g's boundary letters")
-    for l in range(0, SAMPLE_EXP + 1):
-        for r in range(0, SAMPLE_EXP + 1):
-            w = multiply(multiply(power(g, l), a), power(g, r))
+    g_pows = list(accumulate([g] * SAMPLE_EXP, multiply, initial=E))
+    for l, g_l in enumerate(g_pows):
+        g_l_a = multiply(g_l, a)
+        for r, g_r in enumerate(g_pows):
+            w = multiply(g_l_a, g_r)
             if w.first != g.first or w.last != g.last:
                 raise DecompositionFailed(f"g^{l}·a·g^{r} loses g's boundary letters")
             if l > 1 and r > 1 and w.is_identity():
@@ -298,7 +302,8 @@ def same_sign_not_in_FX(inst: HypInstance) -> SameSignReport:
 
     Verifies y_{j0} ∈ lett(w_1·v_1·...·w_N·v_N·w_{N+1}) for N = inst.n; the
     negative-sign case is routed through the re-indexed setting (g⁻¹, e)
-    whose instance is all-positive.
+    whose instance is all-positive.  A positive prefix product is read from
+    the decomposition; a negative one is made once and compared with it.
     """
     st = inst.setting
     N = inst.n
@@ -309,27 +314,24 @@ def same_sign_not_in_FX(inst: HypInstance) -> SameSignReport:
         raise SignMismatch("prefix signs are not all equal")
     sign = signs.pop()
 
-    prefix = E
-    for w, s in zip(inst.ws[:N], inst.signs[:N]):
-        prefix = multiply(multiply(prefix, w), st.v(s))
-    product = multiply(prefix, inst.ws[N])
-
     if sign == 1:
         decomp = same_sign_decompose(inst, N)
+        prefix = decomp.prefix_product
     else:
         # ĝ0 = f·g⁻¹·f⁻¹ arises from the setting (X, g⁻¹, e, k); the shifted
         # separators ŵ_i = w_i·h⁻¹ stay y_{j0}-free because h ∈ F(X).
         hat_setting = make_setting(st.x_alphabet, st.g.inverse(), E, st.k, st.fresh_start)
         hat_ws = tuple(multiply(w, st.h.inverse()) for w in inst.ws[:N]) + (inst.ws[N],)
         hat = HypInstance(hat_setting, hat_ws, (1,) * N, inst.j0)
-        hat_prefix = E
-        for w in hat_ws[:N]:
-            hat_prefix = multiply(multiply(hat_prefix, w), hat_setting.g0)
-        if hat_prefix != prefix:
-            raise DecompositionFailed("re-indexed prefix differs from the original")
         decomp = same_sign_decompose(hat, N)
+        prefix = E
+        for w in inst.ws[:N]:
+            prefix = multiply(multiply(prefix, w), st.g0_inv)
+        if decomp.prefix_product != prefix:
+            raise DecompositionFailed("re-indexed prefix differs from the original")
 
-    present = st.y_letter_id(inst.j0) in letters(product)
+    product = multiply(prefix, inst.ws[N])
+    present = occurs(st.y_letter_id(inst.j0), product)
     return SameSignReport(present, sign, N, inst.j0, product, present, decomp)
 
 
@@ -391,7 +393,7 @@ def eta_invariance_check(seq: list[Word], setting: ConjSetting) -> EtaReport:
     for idx, a in enumerate(seq):
         q = cyclic_exponent(a, g0_parts)
         in_group = q is not None and q != 0
-        has_y = yid in letters(a)
+        has_y = occurs(yid, a)
         if has_y != in_group:
             raise PreconditionViolated(
                 idx, "y_1 occurrence does not match membership in ⟨g0⟩ \\ {e}"
@@ -401,9 +403,7 @@ def eta_invariance_check(seq: list[Word], setting: ConjSetting) -> EtaReport:
         if in_group:
             L.append(idx + 1)
 
-    lhs = E
-    for a_ in seq:
-        lhs = multiply(lhs, a_)
+    lhs = fold(multiply, seq, E)
     if not supported_in(lhs, setting.x_alphabet):
         raise PreconditionViolated(-1, "the full product does not land in F(X)")
     rhs = E

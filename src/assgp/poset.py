@@ -453,7 +453,7 @@ def cyc_witness(
     q, setting = _adjoin(p, g, E, safe_k(mode, p), with_f=True)
     cert = CycCert(
         target=g,
-        factors=(setting.f.inverse(), setting.g0, setting.f),
+        factors=(setting.f_inv, setting.g0, setting.f),
         gens=(setting.f, setting.g0, setting.f),
         exponents=(-1, 1, 1),
         level=q.depth,

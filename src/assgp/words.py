@@ -20,7 +20,8 @@ Each word has exactly one segmentation: every maximal stretch of at least
 between runs form one explicit tuple.  So words are immutable and hashable,
 and two words are equal exactly when their segments are.  A word's text is a
 function of its segments, so joining two words' texts spells their product
-exactly only when nothing cancels and no stretch crosses the junction.
+exactly only when nothing cancels and no stretch crosses the junction: a
+clean junction, across which :func:`multiply` just joins the two segment lists.
 """
 
 from __future__ import annotations
@@ -449,12 +450,23 @@ def fresh_run(start: GeneratorId, k: int) -> Word:
     return Word((_mk_run(letter(start), k),))
 
 
+def _clean(x: Letter, y: Letter) -> bool:
+    """Is x then y a clean junction: no cancelling, and no stretch across?"""
+    return x != -y and x + 1 != y
+
+
 def multiply(v: Word, w: Word) -> Word:
-    if v.is_identity():
-        return w
-    if w.is_identity():
-        return v
-    left, right, _ = _junction(list(v._segs), list(w._segs))
+    """The reduced product v·w.  Across a clean junction (:func:`_clean`) its
+    segments are v's then w's, with a tuple meeting a tuple joined into one."""
+    vs, ws = v._segs, w._segs
+    if not (vs and ws):
+        return v if vs else w
+    t, s = vs[-1], ws[0]
+    if _clean(t.last if type(t) is Run else t[-1], s.first if type(s) is Run else s[0]):
+        if type(t) is tuple and type(s) is tuple:
+            return Word(vs[:-1] + (t + s,) + ws[1:])
+        return Word(vs + ws)
+    left, right, _ = _junction(list(vs), list(ws))
     return Word(_glue(left + right))
 
 
@@ -462,10 +474,10 @@ def conjugate(x: Word, w: Word, x_inv: Word) -> Word:
     """x·w·x⁻¹, where ``x_inv`` is x⁻¹; the conjugators of the level lists
     and of the search are e and single letters.
 
-    When x is one letter that neither cancels against w nor starts a stretch
-    with it at either end, the product's segments are w's with x's and
-    x⁻¹'s joined on, and its text, when w's is known, is the three texts
-    joined; any other product is made by :func:`multiply`.
+    When x is one letter whose junctions with w are both clean
+    (:func:`_clean`), the product's segments are w's with x's and x⁻¹'s
+    joined on, and its text, when w's is known, is the three texts joined;
+    any other product is made by :func:`multiply`.
     """
     if not x._segs:
         return w
@@ -476,7 +488,7 @@ def conjugate(x: Word, w: Word, x_inv: Word) -> Word:
         head, tail = segs[0], segs[-1]
         f = head.first if type(head) is Run else head[0]
         l = tail.last if type(tail) is Run else tail[-1]
-        if f != -a and f != a + 1 and l != a and l != -a - 1:
+        if _clean(a, f) and _clean(l, -a):
             segs = (xs + head,) + segs[1:] if type(head) is tuple else (xs,) + segs
             tail = segs[-1]  # the joined head when w has one segment
             segs = segs[:-1] + (tail + xis,) if type(tail) is tuple else segs + (xis,)
@@ -548,9 +560,7 @@ def power(w: Word, k: int) -> Word:
 
 def is_concatenation(v: Word, w: Word) -> bool:
     """True iff v·w reduces without junction cancellation."""
-    if v.is_identity() or w.is_identity():
-        return True
-    return v.last != -w.first
+    return v.is_identity() or w.is_identity() or v.last != -w.first
 
 
 def letters(w: Word) -> IdSet:
@@ -562,6 +572,13 @@ def letters(w: Word) -> IdSet:
         else:
             pairs.extend((gen_of(l), gen_of(l)) for l in s)
     return IdSet.from_intervals(pairs)
+
+
+def occurs(gen: GeneratorId, w: Word) -> bool:
+    """``gen in letters(w)``, by a scan of w's segments that builds no id set."""
+    l = gen + 1
+    seqs = (range(s.first, s.first + s.count) if type(s) is Run else s for s in w._segs)
+    return any(l in seq or -l in seq for seq in seqs)
 
 
 def supported_in(w: Word, alpha: IdSet) -> bool:
@@ -690,15 +707,10 @@ def cyclic_exponent(w: Word, parts: CyclicParts) -> Optional[int]:
 
 
 def cyclic_member(w: Word, c: Word) -> Optional[int]:
-    """The exponent k with w = c^k, or None.
-
-    Decomposes c on every call with :func:`cyclic_parts`, then tests w with
-    :func:`cyclic_exponent`, which rejects on w's length, then on its first
-    and last letters, before it splits any word.  A caller that tests many
-    words against one c (:class:`~assgp.nbhd.BaseSet`, the η check)
-    decomposes c once and calls :func:`cyclic_exponent` itself.  Raises
-    :class:`EmptyGenerator` when c = e.
-    """
+    """The exponent k with w = c^k, or None; raises :class:`EmptyGenerator`
+    when c = e.  Decomposes c on every call: a caller that tests many words
+    against one c (:class:`~assgp.nbhd.BaseSet`, the η check) calls
+    :func:`cyclic_parts` once and :func:`cyclic_exponent` per word."""
     return cyclic_exponent(w, cyclic_parts(c))
 
 

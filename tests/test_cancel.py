@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -268,3 +269,31 @@ class TestGenerator:
         params = GenParams(k=5, sample_j0=True)
         j0s = {i.j0 for i in itertools.islice(gen_instances(13, params), 60)}
         assert len(j0s) > 1
+
+
+class TestProductsMadeOnce:
+    """The cancellation checks make each product once: the pinned counts are
+    the ``cancel.multiply`` calls of fixed inputs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(v, w):
+            made.append((v, w))
+            return multiply(v, w)
+
+        monkeypatch.setattr(cc, "multiply", counting)
+        return made
+
+    @pytest.mark.parametrize("sign, want", [(1, 53), (-1, 62)])
+    def test_same_sign(self, calls, sign, want):
+        inst = HypInstance(setting(k=3), (a, W("b a"), b), (sign, sign))
+        assert same_sign_not_in_FX(inst).ok
+        assert len(calls) == want
+
+    def test_generated_collapse(self, calls):
+        inst = cc._gen_one(random.Random(4), GenParams())
+        assert inst.n == 4
+        assert collapse_check(inst).ok
+        assert len(calls) == 17

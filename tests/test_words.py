@@ -673,3 +673,77 @@ class TestConjugate:
         x_inv = x.inverse()
         got = wd.conjugate(x, W("x[1..4]"), x_inv)
         assert got.segments[0] is x.segments[0] and got.segments[-1] is x_inv.segments[0]
+
+
+def _junction_kind(v, w):
+    """How v's last segment meets w's first: the junction's kind ("cancel",
+    "stretch" across it, "tuples" for a clean junction of two tuples, or
+    "clean" at a Run) and the two segments' kinds."""
+    x, y = v.last, w.first
+    if x == -y:
+        kind = "cancel"
+    elif x + 1 == y:
+        kind = "stretch"
+    elif type(v.segments[-1]) is tuple and type(w.segments[0]) is tuple:
+        kind = "tuples"
+    else:
+        kind = "clean"
+    return kind, type(v.segments[-1]).__name__, type(w.segments[0]).__name__
+
+
+class TestMultiply:
+    @settings(max_examples=300, deadline=None)
+    @given(pieces_st, pieces_st, st.data())
+    def test_segments_are_canonical(self, v_pieces, w_pieces, data):
+        v_letters = wd.flatten_letters(_product(v_pieces))
+        w_letters = wd.flatten_letters(_product(w_pieces))
+        if v_letters:
+            # w starts with a stretch from a letter near v's end letters
+            a = data.draw(st.sampled_from(_near_letters(wd.reduce(v_letters))))
+            n = data.draw(st.integers(1, 4 if a > 0 else min(4, -a)))
+            w_letters = naive_reduce([*range(a, a + n), *w_letters])
+        v, w = _resegment(v_letters, data), _resegment(w_letters, data)
+        got = wd.multiply(v, w)
+        assert got.segments == canonical_segments(naive_mul(v_letters, w_letters))
+        assert wd.multiply(w.inverse(), v.inverse()) == got.inverse()
+
+    @pytest.mark.parametrize(
+        "v, w, junction, want",
+        [
+            ("a b", "b^-1 c", ("cancel", "tuple", "tuple"), "a c"),
+            ("x[0..3]", "x[1..3]^-1", ("cancel", "Run", "Run"), "a"),
+            ("x[0..3]", "d^-1 b", ("cancel", "Run", "tuple"), "x[0..2] b"),
+            ("a x4", "x[2..4]^-1", ("cancel", "tuple", "Run"), "a d^-1 c^-1"),
+            ("c a", "b c", ("stretch", "tuple", "tuple"), "c x[0..2]"),
+            ("x[0..3]", "x[4..6]", ("stretch", "Run", "Run"), "x[0..6]"),
+            ("x[0..3]", "x4 a", ("stretch", "Run", "tuple"), "x[0..4] a"),
+            ("x[2..4]^-1", "b^-1", ("stretch", "Run", "tuple"), "x[1..4]^-1"),
+            ("c a", "x[1..3]", ("stretch", "tuple", "Run"), "c x[0..3]"),
+            ("a b", "d c", ("tuples", "tuple", "tuple"), "a b d c"),
+            ("x[0..3]", "x[5..7]", ("clean", "Run", "Run"), "x[0..3] x[5..7]"),
+            ("x[0..3]", "a", ("clean", "Run", "tuple"), "x[0..3] a"),
+            ("a", "x[2..4]", ("clean", "tuple", "Run"), "a x[2..4]"),
+        ],
+    )
+    def test_cases(self, v, w, junction, want):
+        v, w = W(v), W(w)
+        assert _junction_kind(v, w) == junction
+        got = wd.multiply(v, w)
+        letters = naive_mul(wd.flatten_letters(v), wd.flatten_letters(w))
+        assert got.segments == canonical_segments(letters)
+        assert str(got) == want
+
+    def test_clean_junction_keeps_the_segments(self):
+        v, w = W("x[0..3] a"), W("c x[5..7]")
+        got = wd.multiply(v, w)
+        assert got.segments == (v.segments[0], (1, 3), w.segments[1])
+        assert got.segments[0] is v.segments[0] and got.segments[-1] is w.segments[-1]
+
+
+class TestOccurs:
+    @settings(max_examples=150, deadline=None)
+    @given(pieces_st, st.integers(0, 11), st.data())
+    def test_matches_letters(self, pieces, gen, data):
+        w = _resegment(wd.flatten_letters(_product(pieces)), data)
+        assert wd.occurs(gen, w) == (gen in wd.letters(w))
+        assert wd.occurs(gen, w.inverse()) == wd.occurs(gen, w)
