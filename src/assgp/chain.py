@@ -561,14 +561,18 @@ class ChainState:
             if not chain:
                 raise FormatError("empty chain")
             state.chain = chain
-            # each step is logged once, and the steps name every condition
-            # after the first once, in order
+            # each step is logged once, the steps name every condition after
+            # the first once, in order, and the k-th scheduled step logs the
+            # schedule's k-th descriptor
             logged = [k for entry in state.step_log for k in entry["new_conditions"]]
             if logged != list(range(1, len(chain))):
                 raise ValueError(f"the step log does not name conditions 1..{len(chain) - 1} in order")
-            scheduled = sum(entry["origin"] == "scheduled" for entry in state.step_log)
-            if scheduled != state.stage:
-                raise ValueError(f"{scheduled} scheduled steps logged at stage {state.stage}")
+            scheduled = [entry["descriptor"] for entry in state.step_log if entry["origin"] == "scheduled"]
+            if len(scheduled) != state.stage:
+                raise ValueError(f"{len(scheduled)} scheduled steps logged at stage {state.stage}")
+            for k, key in enumerate(scheduled):
+                if key != state.schedule.descriptor(k).key():
+                    raise ValueError(f"scheduled step {k} logs {key!r}, not the schedule's descriptor")
             for key, rec in state.certs.items():
                 if rec["kind"] not in ("C", "D", "E"):
                     raise ValueError(f"certificate {key} has unknown kind {rec['kind']!r}")

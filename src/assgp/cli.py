@@ -129,11 +129,12 @@ def _suite_word_laws(trials: int, seed: int) -> dict:
             for _ in range(3)
         ]
         x, y, z = (reduce_word(r) for r in raws)
-        if (x * y) * z != x * (y * z):
+        xy = x * y
+        if xy * z != x * (y * z):
             counterexamples.append({"law": "associativity", "trial": t})
         if x * x.inverse() != E or (x * E) != x:
             counterexamples.append({"law": "identity/inverse", "trial": t})
-        if not letters(x * y).issubset(letters(x).union(letters(y))):
+        if not letters(xy).issubset(letters(x).union(letters(y))):
             counterexamples.append({"law": "letters-subadditive", "trial": t})
     return {"name": "word-laws", "trials": trials, "counterexamples": counterexamples}
 
@@ -170,8 +171,8 @@ def _suite_eta(trials: int, seed: int, inject_bug: str) -> dict:
         seq = []
         for _ in range(rng.randint(1, 3)):
             q = rng.choice([qq for qq in range(-3, 4) if qq])
-            seq.append(st.g0**q)
-            seq.append(st.g0 ** (-q))
+            g0q = st.g0**q
+            seq += (g0q, g0q.inverse())
             seq.append(cc._rand_reduced(rng, [1, 2], 4))
         rpt = cc.eta_invariance_check(seq, st)
         if inject_bug == "eta-skip":

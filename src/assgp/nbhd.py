@@ -334,7 +334,9 @@ class _SearchCtx:
     """One ``member`` search: its node budget, and the verdict of each layer
     that asked its base, keyed by (layer, level, word), for that search only;
     one entry serves every path of the search to it, whether or not the
-    layer tested the word's letters."""
+    layer tested the word's letters.  A question an enriched layer asks at
+    its own depth is a lookup that enters no entry: it costs no node, and
+    an entry for it could hold no yes, as a yes ends the search."""
 
     __slots__ = ("budget", "nodes_left", "memo")
 
@@ -394,9 +396,11 @@ class Nsys:
         answer depends only on (system, i, w, budget).  A search node is an
         enriched layer's nesting step or one conjugation candidate; handing
         a level to the base costs none, so the budget reaches a deep stack's
-        lowest layers.  Letters are tested as the module docstring says.  An
-        answer with a fixed reason is a shared frozen object: compare answers
-        by value."""
+        lowest layers.  A node's question at the asking layer's own depth is
+        a lookup of its floor and adjoined sets, which no search decides,
+        so it costs no node (see ``EnrichedNsys._certify``).  Letters are
+        tested as the module docstring says.  An answer with a fixed reason
+        is a shared frozen object: compare answers by value."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         return self._member(i, w, _SearchCtx(budget))
@@ -641,7 +645,7 @@ def _detect_bounded(U: Nsys, extra: BaseSet, ambient: IdSet) -> Optional[int]:
     fresh-letter or {e} enrichment, the shapes the letter-count bound holds
     for; None otherwise."""
     fresh = ambient.difference(U.alphabet)
-    if not fresh:
+    if not fresh or not U.alphabet:  # |X| = 0 would refute an adjoined y
         return None
     if extra.finite not in ((), (E,)):
         return None
@@ -662,6 +666,12 @@ class EnrichedNsys(Nsys):
     certificates verify here unchanged.  :meth:`_build_level` builds level n
     and every other level; the levels built need not be a top run.
 
+    The search at level i < n asks about level i + 1.  Below n that is a
+    walk down the stack; at n it is a lookup (:meth:`_certify`) of the
+    ``floor``, the first layer below the run of enriched layers at depth n
+    (a pad's {e}, or the root), and then of the run's adjoined sets.  No
+    node decides that level, so its answers cost none.
+
     ``bounded_base_size`` is the base alphabet's size when this layer is a
     cyclic fresh-letter or {e} enrichment, where the letter-count bound
     licenses exact refutation, and None otherwise.  It is derived from the
@@ -681,6 +691,8 @@ class EnrichedNsys(Nsys):
                 raise AsymmetricB(f"base set not symmetric: missing inverse of {w}")
         super().__init__(alphabet, base.depth, base)
         self.closed = self.depth
+        # the first layer below the run of enriched layers at this depth
+        self.floor = base.floor if isinstance(base, EnrichedNsys) else base
         self.extra = extra
         self.bounded_base_size = _detect_bounded(base, extra, alphabet)
 
@@ -716,9 +728,9 @@ class EnrichedNsys(Nsys):
         ctx.nodes_left -= 1
 
         # nesting: V_{i+1} ⊆ V_i via x = e with v = e
-        up = self._member(i + 1, w, ctx, self.alphabet)
-        if up.is_yes:
-            return _yes(Conj(i, E, up.rep, self.identity_rep(i + 1)))
+        up = self._certify(i + 1, w, ctx)
+        if up is not None:
+            return _yes(Conj(i, E, up, self.identity_rep(i + 1)))
         # the search below would stop at its first node; skip the enumeration
         if ctx.nodes_left <= 0:
             return _UNKNOWN_BUDGET
@@ -735,13 +747,43 @@ class EnrichedNsys(Nsys):
                 if ctx.nodes_left <= 0:
                     return _UNKNOWN_BUDGET
                 ctx.nodes_left -= 1
-                v = multiply(u_inv, wx)
-                vans = self._member(i + 1, v, ctx, self.alphabet)
-                if vans.is_yes:
-                    return _yes(Conj(i, x, urep, vans.rep))
+                vrep = self._certify(i + 1, multiply(u_inv, wx), ctx)
+                if vrep is not None:
+                    return _yes(Conj(i, x, urep, vrep))
         # With a cyclic base present the level is infinite; a failed bounded
         # search is not a refutation.
         return _UNKNOWN_SEARCH
+
+    def _certify(self, i, w, ctx):
+        """A certificate of w at level i, one deeper than the search asking,
+        or None: the walk's below this layer's depth, and at its depth a
+        lookup, the floor's answer and then :meth:`adjoined_rep`, which
+        gives what the walk gave.
+
+        * Level i = depth is the floor's level together with the adjoined
+          sets of the run of enriched layers from the floor up to this one,
+          and each of these answers it without a search.  So the walk's yes
+          is the floor's leaf, or else the ``extra`` leaf of level i that
+          ``adjoined_rep`` builds (the leaf names no layer).
+        * The walk's letter tests and letter-count bounds refute none of
+          those words: a word of the floor's level, or adjoined by a layer
+          L, lies in the alphabet of every layer from L up, and has no more
+          letters than a bounded layer's base alphabet, which is not empty
+          (one letter, if that layer adjoined it).
+        * No node is charged at this level, and the answer depends only on
+          w.  The walk answered unknown once ``nodes_left`` reached 0, so a
+          member asked on the node that spends the budget is not certified;
+          the lookup keeps that rule.
+        * The search's memo is neither read nor written here.  An entry for
+          this level could only be a no or an unknown, as a yes ends the
+          search, and the walks that pass this level take only its yes.
+        """
+        if i < self.depth:
+            return self._member(i, w, ctx, self.alphabet).rep
+        if ctx.nodes_left <= 0:
+            return None
+        ans = self.floor._own_answer(i, w, None, None)
+        return ans.rep if ans.is_yes else self.adjoined_rep(i, w)
 
     # -- enumeration -----------------------------------------------------------
 

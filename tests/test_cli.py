@@ -196,8 +196,10 @@ class TestStateCommands:
             lambda o: _first_enrich(o)["extra"].update(cyclic=["x99"]),
         ]
         # the step log names each condition after the first once, in order,
-        # and logs one scheduled entry per stage; these are refused on load
+        # and logs one scheduled entry per stage, the schedule's descriptor
+        # for that stage; these are refused on load
         loaded = [
+            lambda o: o["step_log"][4].update(descriptor="C:b a"),
             lambda o: o["chain"].append(
                 {"base": len(o["chain"]) - 1, "layers": [{"kind": "pad", "depth": 10**4}]}
             ),

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -20,7 +21,7 @@ from assgp.nbhd import (
 from assgp.poset import CycCert, verify_cyc_cert
 from assgp.words import E, IdSet, letters, multiply, power, single
 
-from conftest import SHARED_BUDGET, W, shared_level_stack
+from conftest import SHARED_BUDGET, W, rand_word, shared_level_stack
 from oracle import explicit_system
 
 A = IdSet.of(0)
@@ -188,6 +189,70 @@ class TestMembership:
     def test_explicit_levels_hold_e(self):
         with pytest.raises(nbhd.NbhdError):
             explicit_system(A, [[E], [a, a.inverse()]])
+
+
+def depth_lookup_stacks():
+    """Stacks whose top run of enriched layers stands on each kind of floor."""
+    on_trivial = cyclic_alphabet_extension(trivial_system(A, 2), IdSet.of(24))
+    low = cyclic_alphabet_extension(trivial_system(A, 1), IdSet.of(1))
+    on_pad = cyclic_alphabet_extension(nbhd.pad_system(low, 3), IdSet.of(2))
+    two_at_one_depth = enrich(on_trivial, make_base(cyclic=[W("a y")]), on_trivial.alphabet.union(AB))
+    two_over_pad = enrich(on_pad, make_base(finite=[W("b c"), W("c^-1 b^-1")]), on_pad.alphabet)
+    lv = [{E, b, b.inverse()}, {E, b, b.inverse(), W("a b a^-1"), W("a b^-1 a^-1")}]
+    on_explicit = identity_extension(explicit_system(AB, lv), IdSet.of(24))
+    return {
+        "trivial floor": on_trivial,
+        "pad floor": on_pad,
+        "two at one depth": two_at_one_depth,
+        "two over a pad": two_over_pad,
+        "explicit floor": on_explicit,
+        "cyclic over explicit": cyclic_alphabet_extension(on_explicit, IdSet.of(25)),
+    }
+
+
+class TestDepthLookup:
+    """``EnrichedNsys._certify`` answers a search's questions at the layer's
+    own depth by lookup; it must give the walk's answer."""
+
+    @pytest.mark.parametrize("budget", [Budget(6, 2, 30), Budget(6, 2, 120)], ids=["30", "120"])
+    @pytest.mark.parametrize("name", sorted(depth_lookup_stacks()))
+    def test_lookup_is_the_walks_answer(self, name, budget):
+        V = depth_lookup_stacks()[name]
+        n = V.depth
+        listed = [w for i in range(n + 1) for w, _ in V.enumerate(i, budget)]
+        top = [w for w, _ in V.enumerate(n, budget)]
+        rng = random.Random(7)
+        ids = [*V.alphabet, 9]  # 9 lies outside every stack's alphabet
+        randoms = [rand_word(rng, ids, 6) for _ in range(120)]
+        words = {*listed, *(multiply(u, v) for u in listed for v in top), *randoms}
+        yes = 0
+        for w in sorted(words, key=wd.word_key):
+            ans = V.member(n, w, budget)
+            rep = V._certify(n, w, nbhd._SearchCtx(budget))
+            assert rep == (ans.rep if ans.is_yes else None), w
+            yes += ans.is_yes
+        assert yes >= len(set(top))
+
+    def test_yes_on_the_node_that_spends_the_budget_is_unknown(self):
+        # a·b·b·a⁻¹ at level 0: the nesting step is node 1, the five u of
+        # level 1 with x = e are nodes 2-6, and x = a with u = e is node 7,
+        # the first whose v = b·b is a member.  At 7 nodes that node spends
+        # the budget, so the search answers unknown; at 8 it certifies w
+        V = enrich(trivial_system(AB, 1), make_base(cyclic=[b]), AB)
+        w = W("a b b a^-1")
+        assert len(V.enumerate(1, Budget(6, 2, 7))) == 5
+        ans = V.member(0, w, Budget(6, 2, 7))
+        assert (ans.verdict, ans.reason) == ("unknown", "search budget exhausted")
+        ans = V.member(0, w, Budget(6, 2, 8))
+        assert ans.rep == Conj(0, a, Leaf(1, E, "trivial"), Leaf(1, W("b b"), "extra"))
+
+    def test_empty_base_alphabet_bounds_nothing(self):
+        # |X|·4^(n-i) with |X| = 0 would refute the adjoined y at every level
+        V = cyclic_alphabet_extension(trivial_system(IdSet.empty(), 2), IdSet.of(24))
+        assert V.bounded_base_size is None
+        for i in range(3):
+            ans = V.member(i, y)
+            assert ans.is_yes and V.verify_rep(i, y, ans.rep) == (True, "")
 
 
 class TestEnumeration:
