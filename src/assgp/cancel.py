@@ -182,14 +182,9 @@ class HypInstance:
         return multiply(acc, self.ws[-1])
 
 
-def build_hstar(inst: HypInstance) -> Word:
-    """The reduced product of the instance, made once per instance."""
-    return inst.hstar
-
-
 def check_hypothesis(inst: HypInstance) -> bool:
     """Condition (iii): does the product land in F(X)?"""
-    return supported_in(build_hstar(inst), inst.setting.x_alphabet)
+    return supported_in(inst.hstar, inst.setting.x_alphabet)
 
 
 def separator_product(inst: HypInstance) -> Word:
@@ -352,7 +347,7 @@ class CollapseReport:
 
 def collapse_check(inst: HypInstance) -> CollapseReport:
     """h* equals the separator product once the hypothesis holds."""
-    hstar = build_hstar(inst)
+    hstar = inst.hstar
     if not supported_in(hstar, inst.setting.x_alphabet):
         raise HypothesisViolated("the product does not land in F(X)")
     wstar = separator_product(inst)

@@ -400,7 +400,7 @@ class ChainState:
         Z = letters(g).union(letters(h))
         d = DescE(n, Z, g, h.inverse())
         key = d.key()
-        if key not in self.certs or "f" not in self.certs[key]:
+        if key not in self.certs:
             self._apply_witness(d, "targeted")
         rec = self.certs[key]
         f = _read(parse_word, rec, "f")
@@ -597,6 +597,7 @@ class ChainState:
             if rec["kind"] == "E":
                 rep = _read(rep_from_obj, rec, "rep")
                 g0 = _read(parse_word, rec, "g0")
+                _read(parse_word, rec, "f")  # conj_density_witness reads it back
                 ok, why = cond.system.verify_rep(rec["level"], g0, rep)
             elif rec["kind"] == "D" and rec.get("cyc"):
                 cert = _read(CycCert.from_obj, rec, "cyc")

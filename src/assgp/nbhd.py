@@ -34,15 +34,7 @@ enrichment holds it neither in its base level nor in the adjoined set.
 Everything else is ``unknown``: bounded search and the budgeted level
 lists are the one way to decide a level, and they cannot refute.
 
-A search node tests a word's letters only where the alphabet can reject
-it.  An enriched layer's level lists use only its own letters, so every
-word its search builds (the word it nests one level down, and each
-u⁻¹·x⁻¹·w·x for a listed u and a letter x) lies in its alphabet.  A layer
-skips the test when its alphabet is the very set of the layer whose search
-built the word, and every other enriched layer tests it, as alphabets only
-narrow downwards.  The word a query asks about is tested by the first
-enriched layer it reaches; a pad tests nothing.  Answers whose reason is
-fixed are shared frozen objects, one per reason.
+Answers whose reason is fixed are shared frozen objects, one per reason.
 
 An answer depends only on (system, level, word, budget).  Systems keep no
 verdicts between searches; a search remembers what it has decided only
@@ -226,7 +218,6 @@ _NO_TRIVIAL = _no("trivial system: level is {e}")
 _NO_PADDED = _no("padded level is {e}")
 _NO_LETTERS = _no("letters outside the ambient alphabet")
 _NO_BASE_OR_EXTRA = _no("neither in the base level nor the adjoined set")
-_UNKNOWN_BASE = _unknown("base level undecided")
 _UNKNOWN_BUDGET = _unknown("search budget exhausted")
 _UNKNOWN_SEARCH = _unknown("bounded search found no certificate")
 
@@ -332,11 +323,10 @@ def _products(inner: list, pairs: int):
 
 class _SearchCtx:
     """One ``member`` search: its node budget, and the verdict of each layer
-    that asked its base, keyed by (layer, level, word), for that search only;
-    one entry serves every path of the search to it, whether or not the
-    layer tested the word's letters.  A question an enriched layer asks at
-    its own depth is a lookup that enters no entry: it costs no node, and
-    an entry for it could hold no yes, as a yes ends the search."""
+    that asked its base, keyed by (layer, level, word), for that search only.
+    An enriched layer answers its own depth without its base, by one helper
+    (``EnrichedNsys._depth_answer``) that costs no node, so no entry is
+    made for that level of that layer."""
 
     __slots__ = ("budget", "nodes_left", "memo")
 
@@ -396,37 +386,31 @@ class Nsys:
         answer depends only on (system, i, w, budget).  A search node is an
         enriched layer's nesting step or one conjugation candidate; handing
         a level to the base costs none, so the budget reaches a deep stack's
-        lowest layers.  A node's question at the asking layer's own depth is
-        a lookup of its floor and adjoined sets, which no search decides,
-        so it costs no node (see ``EnrichedNsys._certify``).  Letters are
-        tested as the module docstring says.  An answer with a fixed reason
-        is a shared frozen object: compare answers by value."""
+        lowest layers.  An enriched layer's own depth n is answered by one
+        helper, a lookup of its floor and adjoined sets, whether a query or
+        a search node asks it, so it costs no node and no walk goes down
+        the run of enriched layers at depth n (see
+        ``EnrichedNsys._depth_answer``).  An answer with a fixed reason is a
+        shared frozen object: compare answers by value."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
         return self._member(i, w, _SearchCtx(budget))
 
-    def _member(
-        self, i: int, w: Word, ctx: _SearchCtx, within: "IdSet | None" = None
-    ) -> MembershipAnswer:
+    def _member(self, i: int, w: Word, ctx: _SearchCtx) -> MembershipAnswer:
         # Walk down the layers that hand level i to their base, then answer
         # root-upwards into the memo: a deep stack does not recurse per layer.
-        # ``within`` is the alphabet of the enriched layer whose search built
-        # w, which w lies in; None for the word a query asks about.
         passed = []
         layer = self
-        while (ans := ctx.memo.get((id(layer), i, w)) or layer._own_answer(i, w, ctx, within)) is None:
+        while (ans := ctx.memo.get((id(layer), i, w)) or layer._own_answer(i, w, ctx)) is None:
             passed.append(layer)
             layer = layer.base
         for layer in reversed(passed):
             ans = ctx.memo[(id(layer), i, w)] = layer._after_base(i, w, ans, ctx)
         return ans
 
-    def _own_answer(
-        self, i: int, w: Word, ctx: _SearchCtx, within: "IdSet | None"
-    ) -> "MembershipAnswer | None":
+    def _own_answer(self, i: int, w: Word, ctx: _SearchCtx) -> "MembershipAnswer | None":
         """The answer this layer gives without its base, or None to ask the
-        base and then ``_after_base(i, w, base_answer, ctx)``.  ``within``
-        is an alphabet known to hold w's letters, or None."""
+        base and then ``_after_base(i, w, base_answer, ctx)``."""
         raise NotImplementedError
 
     # -- enumeration ----------------------------------------------------------
@@ -566,7 +550,7 @@ class Nsys:
             return root.depth < L <= self.depth and leaf.word.is_identity()
         if leaf.origin != "extra":
             own = leaf.origin == root.origin and L <= root.depth
-            return own and root._own_answer(L, leaf.word, None, None).is_yes
+            return own and root._own_answer(L, leaf.word, None).is_yes
         layer = self
         while layer is not None and layer.depth >= L:
             if layer.depth == L and isinstance(layer, EnrichedNsys) and layer.extra.contains(leaf.word):
@@ -600,7 +584,7 @@ class TrivialNsys(Nsys):
             raise ZeroDepth(f"depth must be >= 1, got {depth}")
         super().__init__(alphabet, depth)
 
-    def _own_answer(self, i, w, ctx, within):
+    def _own_answer(self, i, w, ctx):
         return _yes(Leaf(i, E, "trivial")) if w.is_identity() else _NO_TRIVIAL
 
     def _own_list(self, i, below, budget):
@@ -619,9 +603,9 @@ class PaddedNsys(Nsys):
         super().__init__(base.alphabet, depth, base)
         self.closed = base.closed
 
-    def _own_answer(self, i, w, ctx, within):
+    def _own_answer(self, i, w, ctx):
         # a pad tests no letters: it shares its base's alphabet, and the base
-        # tests w against it unless the search built w inside it
+        # tests w against it
         if i <= self.base.depth:
             return None
         return _yes(Leaf(i, E, "pad")) if w.is_identity() else _NO_PADDED
@@ -666,11 +650,12 @@ class EnrichedNsys(Nsys):
     certificates verify here unchanged.  :meth:`_build_level` builds level n
     and every other level; the levels built need not be a top run.
 
-    The search at level i < n asks about level i + 1.  Below n that is a
-    walk down the stack; at n it is a lookup (:meth:`_certify`) of the
-    ``floor``, the first layer below the run of enriched layers at depth n
-    (a pad's {e}, or the root), and then of the run's adjoined sets.  No
-    node decides that level, so its answers cost none.
+    Level n is answered by one helper, :meth:`_depth_answer`: a lookup of
+    the ``floor``, the first layer below the run of enriched layers at
+    depth n (a pad's {e}, or the root), and then of the run's adjoined
+    sets.  A query at level n and the search's questions about level n
+    (see :meth:`_certify`) both get it, so no walk goes down that run and
+    no node is charged for that level.
 
     ``bounded_base_size`` is the base alphabet's size when this layer is a
     cyclic fresh-letter or {e} enrichment, where the letter-count bound
@@ -679,9 +664,10 @@ class EnrichedNsys(Nsys):
     """
 
     def __init__(self, base: Nsys, extra: BaseSet, alphabet: IdSet):
-        # The search takes every word of this layer's level lists to be made
-        # of its letters (see _own_answer), so the base's and the adjoined
-        # set's letters must lie in its alphabet, also in a loaded state.
+        # The depth lookup takes every word of the floor's level and of the
+        # adjoined sets to be made of its letters (see _certify), so the
+        # base's and the adjoined set's letters must lie in its alphabet,
+        # also in a loaded state.
         if not base.alphabet.issubset(alphabet):
             raise OverlapAlphabet("ambient alphabet must contain the base alphabet")
         if not all(supported_in(w, alphabet) for w in extra.finite + extra.cyclic):
@@ -705,24 +691,31 @@ class EnrichedNsys(Nsys):
 
     # -- membership ----------------------------------------------------------
 
-    def _own_answer(self, i, w, ctx, within):
-        # A word that a search built in a layer with this very alphabet is
-        # made of its letters (level lists and conjugators use no others), so
-        # the test would pass; every other word is tested here.
-        if self.alphabet is not within and not supported_in(w, self.alphabet):
+    def _own_answer(self, i, w, ctx):
+        if not supported_in(w, self.alphabet):
             return _NO_LETTERS
         bound = self._bound(i)
         if bound is not None and letters(w).size > bound:
             return _no(f"letter count exceeds the enrichment bound {bound}")
-        return _UNKNOWN_BUDGET if ctx.nodes_left <= 0 else None
+        if ctx.nodes_left <= 0:
+            return _UNKNOWN_BUDGET
+        return self._depth_answer(w) if i == self.depth else None
+
+    def _depth_answer(self, w):
+        """Level n = U_n ∪ B: the floor's yes, else the ``extra`` leaf of
+        :meth:`adjoined_rep`, else no.  The floor (a pad, or a trivial or
+        explicit root) answers only yes or no, and level n of the run of
+        enriched layers on it is the floor's level together with the run's
+        adjoined sets, so the answer is exact and needs no search."""
+        ans = self.floor._own_answer(self.depth, w, None)
+        if ans.is_yes:
+            return ans
+        rep = self.adjoined_rep(self.depth, w)
+        return _NO_BASE_OR_EXTRA if rep is None else _yes(rep)
 
     def _after_base(self, i, w, base_ans, ctx):
         if base_ans.is_yes:
             return base_ans
-        if i == self.depth:
-            if self.extra.contains(w):
-                return _yes(Leaf(i, w, "extra"))
-            return _NO_BASE_OR_EXTRA if base_ans.is_no else _UNKNOWN_BASE
         if ctx.nodes_left <= 0:
             return _UNKNOWN_BUDGET
         ctx.nodes_left -= 1
@@ -756,34 +749,21 @@ class EnrichedNsys(Nsys):
 
     def _certify(self, i, w, ctx):
         """A certificate of w at level i, one deeper than the search asking,
-        or None: the walk's below this layer's depth, and at its depth a
-        lookup, the floor's answer and then :meth:`adjoined_rep`, which
-        gives what the walk gave.
+        or None: the walk's below this layer's depth, and at its depth
+        :meth:`_depth_answer`'s, as a query there gets it.
 
-        * Level i = depth is the floor's level together with the adjoined
-          sets of the run of enriched layers from the floor up to this one,
-          and each of these answers it without a search.  So the walk's yes
-          is the floor's leaf, or else the ``extra`` leaf of level i that
-          ``adjoined_rep`` builds (the leaf names no layer).
-        * The walk's letter tests and letter-count bounds refute none of
-          those words: a word of the floor's level, or adjoined by a layer
-          L, lies in the alphabet of every layer from L up, and has no more
-          letters than a bounded layer's base alphabet, which is not empty
-          (one letter, if that layer adjoined it).
-        * No node is charged at this level, and the answer depends only on
-          w.  The walk answered unknown once ``nodes_left`` reached 0, so a
-          member asked on the node that spends the budget is not certified;
-          the lookup keeps that rule.
-        * The search's memo is neither read nor written here.  An entry for
-          this level could only be a no or an unknown, as a yes ends the
-          search, and the walks that pass this level take only its yes.
+        * The letter test and the letter-count bound are skipped at the
+          depth: they refute none of the words the helper says yes to.  A
+          word of the floor's level, or adjoined by a layer L, lies in the
+          alphabet of every layer from L up, and has no more letters than a
+          bounded layer's base alphabet, which is not empty (one letter, if
+          that layer adjoined it).  So skipping them changes no certificate.
+        * A member asked on the node that spends the budget is not
+          certified, as at every other level.
         """
         if i < self.depth:
-            return self._member(i, w, ctx, self.alphabet).rep
-        if ctx.nodes_left <= 0:
-            return None
-        ans = self.floor._own_answer(i, w, None, None)
-        return ans.rep if ans.is_yes else self.adjoined_rep(i, w)
+            return self._member(i, w, ctx).rep
+        return None if ctx.nodes_left <= 0 else self._depth_answer(w).rep
 
     # -- enumeration -----------------------------------------------------------
 

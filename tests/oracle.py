@@ -31,7 +31,7 @@ class ExplicitNsys(Nsys):
         super().__init__(alphabet, len(levels) - 1)
         self.levels = levels
 
-    def _own_answer(self, i, w, ctx, within):
+    def _own_answer(self, i, w, ctx):
         if w in self.levels[i]:
             return MembershipAnswer("yes", Leaf(i, w, "explicit"))
         return _NO_EXPLICIT

@@ -7,7 +7,6 @@ from assgp import cancel as cc
 from assgp.cancel import (
     GenParams,
     HypInstance,
-    build_hstar,
     check_hypothesis,
     collapse_check,
     eta_invariance_check,
@@ -84,19 +83,19 @@ class TestHstar:
     def test_trivial_cancellation(self):
         st = setting()
         inst = HypInstance(st, (E, E, E), (1, -1))
-        assert build_hstar(inst) == E
+        assert inst.hstar == E
         assert check_hypothesis(inst)
 
     def test_separated_words(self):
         st = setting()
         inst = HypInstance(st, (a, E, b), (1, -1))
-        assert build_hstar(inst) == W("a b")
+        assert inst.hstar == W("a b")
         assert check_hypothesis(inst)
 
     def test_non_collapsing_instance(self):
         st = setting()
         inst = HypInstance(st, (E, a, E), (1, -1))
-        w = build_hstar(inst)
+        w = inst.hstar
         assert st.y_letter_id(1) in letters(w)
         assert not check_hypothesis(inst)
 
@@ -197,7 +196,7 @@ class TestCollapse:
                 raw += flatten_letters(w)
                 raw += flatten_letters(inst.setting.v(s))
             raw += flatten_letters(inst.ws[-1])
-            assert naive_reduce(raw) == flatten_letters(build_hstar(inst))
+            assert naive_reduce(raw) == flatten_letters(inst.hstar)
 
     def test_compressed_k(self):
         params = GenParams(k=1 << 12)
@@ -253,8 +252,8 @@ class TestEtaInvariance:
 
 class TestGenerator:
     def test_deterministic(self):
-        first = [build_hstar(i) for i in itertools.islice(gen_instances(5), 20)]
-        second = [build_hstar(i) for i in itertools.islice(gen_instances(5), 20)]
+        first = [i.hstar for i in itertools.islice(gen_instances(5), 20)]
+        second = [i.hstar for i in itertools.islice(gen_instances(5), 20)]
         assert first == second
 
     def test_instances_satisfy_all_conditions(self):

@@ -174,6 +174,8 @@ class TestStateCommands:
             lambda o: o["certs"][e_key].update(g0="zz"),
             lambda o: o["certs"][e_key].pop("g0"),
             lambda o: o["certs"][e_key].pop("rep"),
+            lambda o: o["certs"][e_key].pop("f"),
+            lambda o: o["certs"][e_key].update(f="zz"),
             # a leaf holds no inner certificate
             lambda o: o["certs"][e_key]["rep"].append(["leaf", 0, "e", "trivial"]),
             lambda o: o["retry_queue"].append(["Q:zz", 1]),

@@ -100,23 +100,31 @@ def _names_used(tree: ast.AST) -> Counter:
 
 
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes, and methods of module-level
-    classes, public or private but not dunders, that no source names
-    outside their own ``def``."""
+    """Module-level functions, classes and constants, and methods of
+    module-level classes, public or private but not dunders, that no source
+    names outside their own ``def`` or assignment."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
     out = []
     for name, tree in trees.items():
-        defs = []
+        defs = []  # (defined name, the node that defines it)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append(node)
+                defs.append((node.name, node))
             if isinstance(node, ast.ClassDef):
-                defs.extend(n for n in node.body if isinstance(n, ast.FunctionDef))
-        for node in defs:
-            dunder = node.name.startswith("__") and node.name.endswith("__")
-            if not dunder and used[node.name] <= _names_used(node)[node.name]:
-                out.append(f"{name}:{node.name}")
+                defs.extend((n.name, n) for n in node.body if isinstance(n, ast.FunctionDef))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.extend(
+                    (t.id, node)
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                )
+        for defined, node in defs:
+            dunder = defined.startswith("__") and defined.endswith("__")
+            if not dunder and used[defined] <= _names_used(node)[defined]:
+                out.append(f"{name}:{defined}")
     return sorted(out)
 
 
@@ -128,8 +136,11 @@ def test_checker_finds_unnamed_definitions():
             "    def _q(self):\n        pass\n"
         ),
         "b.py": "def g(x: 'K'):\n    return x\ndef h():\n    pass\ndef _r():\n    return _r\n",
+        "c.py": "__all__ = ['g']\n_C = 1\nD: int = _C\n_E, F = 2, g(D)\n_G = 3\n",
     }
-    assert unnamed_definitions(sources) == ["a.py:_p", "a.py:f", "a.py:m", "b.py:_r", "b.py:h"]
+    assert unnamed_definitions(sources) == [
+        "a.py:_p", "a.py:f", "a.py:m", "b.py:_r", "b.py:h", "c.py:F", "c.py:_E", "c.py:_G"
+    ]
 
 
 # Word.segments is how the benchmark and the tests read a word's canonical

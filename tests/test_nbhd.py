@@ -158,9 +158,8 @@ class TestMembership:
     @pytest.mark.parametrize("top", ["pad", "equal alphabet"])
     def test_letters_are_tested_where_the_alphabet_narrows(self, top):
         # A pad shares its base's alphabet and tests no letters, so the
-        # enrichment below it must test a word it did not build, and the
-        # answer below that layer's depth is its refutation.  A pad that
-        # marked the word as checked would let the search run instead.
+        # enrichment below it must test the word, and the answer below that
+        # layer's depth is its refutation.
         low = cyclic_alphabet_extension(trivial_system(A, 2), IdSet.of(1))
         U = nbhd.pad_system(low, 4)
         if top == "equal alphabet":
@@ -210,28 +209,55 @@ def depth_lookup_stacks():
     }
 
 
-class TestDepthLookup:
-    """``EnrichedNsys._certify`` answers a search's questions at the layer's
-    own depth by lookup; it must give the walk's answer."""
+def depth_corpus(V, budget):
+    """Every listed word of V, each times a word of level n, and random
+    words, some with a letter outside V's alphabet."""
+    listed = [w for i in range(V.depth + 1) for w, _ in V.enumerate(i, budget)]
+    top = [w for w, _ in V.enumerate(V.depth, budget)]
+    rng = random.Random(7)
+    ids = [*V.alphabet, 9]  # 9 lies outside every stack's alphabet
+    randoms = [rand_word(rng, ids, 6) for _ in range(120)]
+    return sorted({*listed, *(multiply(u, v) for u in listed for v in top), *randoms}, key=wd.word_key)
 
-    @pytest.mark.parametrize("budget", [Budget(6, 2, 30), Budget(6, 2, 120)], ids=["30", "120"])
-    @pytest.mark.parametrize("name", sorted(depth_lookup_stacks()))
+
+BUDGETS = pytest.mark.parametrize("budget", [Budget(6, 2, 30), Budget(6, 2, 120)], ids=["30", "120"])
+STACKS = pytest.mark.parametrize("name", sorted(depth_lookup_stacks()))
+
+
+class TestDepthLookup:
+    """An enriched layer answers its own depth n by one helper,
+    ``EnrichedNsys._depth_answer``, for a query and for a search node
+    (``_certify``, which skips the letter and bound tests) alike."""
+
+    @BUDGETS
+    @STACKS
     def test_lookup_is_the_walks_answer(self, name, budget):
         V = depth_lookup_stacks()[name]
         n = V.depth
-        listed = [w for i in range(n + 1) for w, _ in V.enumerate(i, budget)]
-        top = [w for w, _ in V.enumerate(n, budget)]
-        rng = random.Random(7)
-        ids = [*V.alphabet, 9]  # 9 lies outside every stack's alphabet
-        randoms = [rand_word(rng, ids, 6) for _ in range(120)]
-        words = {*listed, *(multiply(u, v) for u in listed for v in top), *randoms}
         yes = 0
-        for w in sorted(words, key=wd.word_key):
+        for w in depth_corpus(V, budget):
             ans = V.member(n, w, budget)
             rep = V._certify(n, w, nbhd._SearchCtx(budget))
             assert rep == (ans.rep if ans.is_yes else None), w
             yes += ans.is_yes
-        assert yes >= len(set(top))
+        assert yes >= len({w for w, _ in V.enumerate(n, budget)})
+
+    @BUDGETS
+    @STACKS
+    def test_no_walk_goes_down_a_run_at_its_depth(self, name, budget, monkeypatch):
+        # a pad on the run hands level n to the run's top, which answers it
+        after_base = nbhd.EnrichedNsys._after_base
+
+        def checked(self, i, w, base_ans, ctx):
+            assert i < self.depth, f"walked down the run at depth {i} for {w}"
+            return after_base(self, i, w, base_ans, ctx)
+
+        monkeypatch.setattr(nbhd.EnrichedNsys, "_after_base", checked)
+        V = depth_lookup_stacks()[name]
+        padded = nbhd.pad_system(V, V.depth + 2)
+        for w in depth_corpus(V, budget):
+            assert padded.member(V.depth, w, budget) == V.member(V.depth, w, budget), w
+            padded.member(0, w, Budget(6, 2, 8))  # a search whose nodes ask level n
 
     def test_yes_on_the_node_that_spends_the_budget_is_unknown(self):
         # a·b·b·a⁻¹ at level 0: the nesting step is node 1, the five u of
@@ -785,23 +811,19 @@ class TestSerialization:
         assert levels == list(range(depth)) and obj == ["leaf", depth, "e", "pad"]
 
     def test_exhausted_search_skips_enumeration(self, monkeypatch):
-        # passing a layer costs no search node, so the search reaches the
-        # root and a few of the lowest of 200 enrich layers spend the 120
-        # nodes; the layers it backs out of must not enumerate
-        U = trivial_system(A, 1)
-        for gid in range(30, 230):
-            U = cyclic_alphabet_extension(U, IdSet.of(gid))
-        lowest = U.ancestors()[-11:]  # the root and the ten layers above it
-        enumerate_ = nbhd.Nsys.enumerate
+        # a at level 0 over two nodes: the nesting steps at levels 0 and 1
+        # spend both, so neither search may read a level list after it
+        V = cyclic_alphabet_extension(trivial_system(AB, 2), IdSet.of(24))
+        read, level = [], nbhd.Nsys._level
 
-        def refuse(self, i, budget):
-            if any(self is layer for layer in lowest):
-                return enumerate_(self, i, budget)
-            raise AssertionError("enumerated with the search budget spent")
+        def counted(self, i, budget):
+            read.append(i)
+            return level(self, i, budget)
 
-        monkeypatch.setattr(nbhd.Nsys, "enumerate", refuse)
-        ans = U.member(0, a, Budget(6, 2, 120))
-        assert ans.verdict == "unknown" and ans.reason == "search budget exhausted"
+        monkeypatch.setattr(nbhd.Nsys, "_level", counted)
+        ans = V.member(0, a, Budget(6, 2, 2))
+        assert (ans.verdict, ans.reason) == ("unknown", "search budget exhausted")
+        assert read == []
 
     def test_rep_roundtrip(self):
         V = cyclic_alphabet_extension(trivial_system(A, 1), IdSet.of(24))
