@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .nbhd import (
@@ -38,7 +38,6 @@ from .nbhd import (
     Conj,
     DEFAULT_BUDGET,
     MembershipAnswer,
-    NbhdError,
     invert_rep,
     rep_from_obj,
     rep_to_obj,
@@ -67,7 +66,6 @@ from .words import (
     E,
     IdSet,
     Word,
-    WordError,
     flatten_letters,
     gen_of,
     letters,
@@ -196,25 +194,12 @@ class Schedule:
             "full": ("A", "B", "C", "AD", "E"),
         }[preset]
         self._streams = {
-            "A": _Indexed(self._a_stream()),
-            "B": _Indexed(self._b_stream()),
-            "C": _Indexed(self._c_stream()),
+            "A": _Indexed(map(DescA, itertools.count(0))),
+            "B": _Indexed(map(DescB, alphabet_stream())),
+            "C": _Indexed(map(DescC, word_stream())),
             "AD": _Indexed(self._ad_stream()),
             "E": _Indexed(self._e_stream()),
         }
-
-    @staticmethod
-    def _a_stream():
-        for n in itertools.count(0):
-            yield DescA(n)
-
-    @staticmethod
-    def _b_stream():
-        yield from (DescB(s) for s in alphabet_stream())
-
-    @staticmethod
-    def _c_stream():
-        yield from (DescC(g) for g in word_stream(include_identity=False))
 
     @staticmethod
     def _ad_stream():
@@ -316,11 +301,7 @@ class ChainState:
                 "rep": rep_to_obj(ext.rep),
             }
         elif isinstance(d, DescC):
-            self.certs[key] = {
-                "kind": "C",
-                "stage": stage_idx,
-                "level": self.chain[-1].depth,
-            }
+            self.certs[key] = {"kind": "C", "stage": stage_idx, "level": self.chain[-1].depth}
 
     def step(self) -> dict:
         """Consume the next scheduled descriptor.  A witness that fails is
@@ -402,9 +383,7 @@ class ChainState:
         key = d.key()
         if key not in self.certs:
             self._apply_witness(d, "targeted")
-        rec = self.certs[key]
-        f = _read(parse_word, rec, "f")
-        target = _read(parse_word, rec, "g0")
+        f, target = (parse_word(self.certs[key][name]) for name in ("f", "g0"))
         expected = multiply(multiply(multiply(f, g), f.inverse()), h.inverse())
         if expected != target:
             raise ChainError("cached conjugacy witness fails re-verification")
@@ -425,10 +404,8 @@ class ChainState:
             self._apply_witness(DescA(n), "targeted")
         d = DescAD(n, g)
         self._apply_witness(d, "targeted")
-        rec = self.certs[d.key()]
-        cert = _read(CycCert.from_obj, rec, "cyc")
-        at_n = CycCert(cert.target, cert.factors, cert.gens, cert.exponents, n)
-        ok, why = verify_cyc_cert(at_n, self.chain[rec["stage"]].system)
+        _, cond, cert = _read_record(d.key(), self.certs[d.key()], self.chain)
+        ok, why = verify_cyc_cert(replace(cert, level=n), cond.system)
         if not ok:
             raise WitnessFailed(f"stored factorization fails re-verification at level {n}: {why}")
         return cert
@@ -532,6 +509,10 @@ class ChainState:
 
     @staticmethod
     def from_obj(obj: dict) -> "ChainState":
+        """The state a parsed state file holds.  Every field is read here, each
+        certificate record by its kind's reader, so a wrong shape or type is a
+        FormatError, which the CLI exits 2 on; whether a record's mathematics
+        holds is for :meth:`verify_certificates`."""
         if not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME:
             raise FormatError("not a chain state file")
         # version 1 has the same word grammar; only some words were spelled
@@ -559,7 +540,7 @@ class ChainState:
                 system = system_from_layers(entry["layers"], root)
                 chain.append(Condition(system))
             if not chain:
-                raise FormatError("empty chain")
+                raise ValueError("empty chain")
             state.chain = chain
             # each step is logged once, the steps name every condition after
             # the first once, in order, and the k-th scheduled step logs the
@@ -574,34 +555,23 @@ class ChainState:
                 if key != state.schedule.descriptor(k).key():
                     raise ValueError(f"scheduled step {k} logs {key!r}, not the schedule's descriptor")
             for key, rec in state.certs.items():
-                if rec["kind"] not in ("C", "D", "E"):
-                    raise ValueError(f"certificate {key} has unknown kind {rec['kind']!r}")
-                if type(rec["stage"]) is not int or not 0 <= rec["stage"] < len(chain):
-                    raise ValueError(f"certificate {key} names stage {rec['stage']!r}")
-                if rec["kind"] == "E":  # verify_certificates checks it at that level
-                    level = rec["level"]
-                    if type(level) is not int or not 0 <= level <= chain[rec["stage"]].depth:
-                        raise ValueError(f"certificate {key} names level {level!r}")
-        except FormatError:
-            raise
+                _read_record(key, rec, chain)
         except Exception as exc:  # malformed content of a well-framed file
             raise FormatError(f"malformed chain state: {exc}") from exc
         return state
 
     def verify_certificates(self) -> list[str]:
-        """Re-check every stored certificate without a search; returns failures."""
+        """Re-check every stored certificate without a search; returns the
+        failures.  Load has read every record, so a failure here is wrong
+        mathematics, which the CLI exits 1 on."""
         failures = []
         for key in sorted(self.certs):
-            rec = self.certs[key]
-            cond = self.chain[rec["stage"]]
-            if rec["kind"] == "E":
-                rep = _read(rep_from_obj, rec, "rep")
-                g0 = _read(parse_word, rec, "g0")
-                _read(parse_word, rec, "f")  # conj_density_witness reads it back
-                ok, why = cond.system.verify_rep(rec["level"], g0, rep)
-            elif rec["kind"] == "D" and rec.get("cyc"):
-                cert = _read(CycCert.from_obj, rec, "cyc")
-                ok, why = verify_cyc_cert(cert, cond.system)
+            kind, cond, payload = _read_record(key, self.certs[key], self.chain)
+            if kind == "E":
+                level, _, g0, rep = payload
+                ok, why = cond.system.verify_rep(level, g0, rep)
+            elif kind == "D":
+                ok, why = verify_cyc_cert(payload, cond.system)
             else:
                 continue  # C: separation is re-checked on demand via separation_index
             if not ok:
@@ -609,17 +579,43 @@ class ChainState:
         return failures
 
 
-# what the readers of stored fields raise on malformed content
-_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError, WordError, NbhdError)
+def _int_in(value, top: int, what: str) -> int:
+    """value, when it is an int (not a bool) in 0..top."""
+    if type(value) is not int or not 0 <= value <= top:
+        raise ValueError(f"{what} {value!r} is not an int in 0..{top}")
+    return value
 
 
-def _read(reader, rec: dict, name: str):
-    """``reader`` on the stored field ``rec[name]``; a missing field or
-    malformed content is a FormatError."""
-    try:
-        return reader(rec[name])
-    except _MALFORMED as exc:
-        raise FormatError(f"malformed stored record: {exc}") from exc
+def _c_record(rec: dict, cond: Condition) -> int:
+    """A separation record's level."""
+    return _int_in(rec["level"], cond.depth, "level")
+
+
+def _d_record(rec: dict, cond: Condition) -> CycCert:
+    """A factorization record's ``cyc`` payload, at a level of its stage."""
+    cert = CycCert.from_obj(rec["cyc"])
+    _int_in(cert.level, cond.depth, "cyc level")
+    return cert
+
+
+def _e_record(rec: dict, cond: Condition) -> tuple:
+    """A conjugacy record's level, conjugator f, target g0 and g0's certificate."""
+    level = _int_in(rec["level"], cond.depth, "level")
+    return level, parse_word(rec["f"]), parse_word(rec["g0"]), rep_from_obj(rec["rep"])
+
+
+# the record kind and reader of each descriptor family that stores a record
+_RECORDS = {"C": ("C", _c_record), "AD": ("D", _d_record), "E": ("E", _e_record)}
+
+
+def _read_record(key: str, rec: dict, chain: list[Condition]) -> tuple:
+    """A stored record's kind, the condition it names and its kind's reading
+    of it; raises on a record of the wrong shape or type."""
+    kind, reader = _RECORDS[key.partition(":")[0]]
+    if rec["kind"] != kind:
+        raise ValueError(f"certificate {key} is not a {kind} record")
+    cond = chain[_int_in(rec["stage"], len(chain) - 1, "stage")]
+    return kind, cond, reader(rec, cond)
 
 
 # ---------------------------------------------------------------------------

@@ -401,14 +401,16 @@ class CycCert:
 
     @staticmethod
     def from_obj(obj: dict) -> "CycCert":
-        """The inverse of :meth:`describe`."""
-        return CycCert(
-            parse_word(obj["target"]),
-            tuple(parse_word(t) for t in obj["factors"]),
-            tuple(parse_word(t) for t in obj["gens"]),
-            tuple(obj["exponents"]),
-            obj["level"],
-        )
+        """The inverse of :meth:`describe`.  Raises on a payload of the wrong
+        shape: factors, generators and exponents are lists of one length, each
+        generator a non-trivial word and each exponent an int, not a bool."""
+        lists = obj["factors"], obj["gens"], obj["exponents"]
+        if any(type(l) is not list or len(l) != len(lists[0]) for l in lists):
+            raise ValueError("factors, gens and exponents are not lists of one length")
+        factors, gens = (tuple(map(parse_word, l)) for l in lists[:2])
+        if any(type(q) is not int for q in lists[2]) or any(c.is_identity() for c in gens):
+            raise ValueError("an exponent is not an int, or a generator is e")
+        return CycCert(parse_word(obj["target"]), factors, gens, tuple(lists[2]), obj["level"])
 
 
 def verify_cyc_cert(cert: CycCert, system: Nsys, budget: Budget = DEFAULT_BUDGET) -> tuple[bool, str]:

@@ -1,4 +1,9 @@
+import copy
+import functools
 import json
+import operator
+import random
+import signal
 
 import pytest
 
@@ -167,10 +172,26 @@ class TestStateCommands:
 
         # well-framed files whose content is malformed
         obj = json.loads(state.read_text())
-        d_key = next(k for k, r in obj["certs"].items() if r["kind"] == "D" and r["cyc"])
+        d_key = next(k for k, r in obj["certs"].items() if r["kind"] == "D")
         e_key = next(k for k, r in obj["certs"].items() if r["kind"] == "E")
+        c_key = next(k for k, r in obj["certs"].items() if r["kind"] == "C")
         edits = [
             lambda o: o["certs"][d_key]["cyc"].update(target="zz"),
+            # a D payload re-verifies at its level, an int in 0..its stage's
+            # depth, over three lists of one length: non-trivial generators
+            # and int exponents
+            lambda o: o["certs"][d_key]["cyc"].update(level="1"),
+            lambda o: o["certs"][d_key]["cyc"].update(level=True),
+            lambda o: o["certs"][d_key]["cyc"].update(level=999),
+            lambda o: o["certs"][d_key]["cyc"]["gens"].__setitem__(0, ""),
+            lambda o: o["certs"][d_key]["cyc"].update(gens=[], exponents=[]),
+            lambda o: o["certs"][d_key]["cyc"]["exponents"].__delitem__(slice(1, None)),
+            lambda o: o["certs"][d_key]["cyc"]["exponents"].__setitem__(1, True),
+            lambda o: o["certs"][d_key]["cyc"]["exponents"].__setitem__(1, 1.0),
+            # a C record's level is an int in 0..its stage's depth too
+            lambda o: o["certs"][c_key].update(level="1"),
+            # a record's kind is its key's: conj reads an E key's f and g0
+            lambda o: o["certs"][e_key].update(kind="C"),
             lambda o: o["certs"][e_key].update(g0="zz"),
             lambda o: o["certs"][e_key].pop("g0"),
             lambda o: o["certs"][e_key].pop("rep"),
@@ -199,8 +220,8 @@ class TestStateCommands:
         ]
         # the step log names each condition after the first once, in order,
         # and logs one scheduled entry per stage, the schedule's descriptor
-        # for that stage; these are refused on load
-        loaded = [
+        # for that stage
+        edits += [
             lambda o: o["step_log"][4].update(descriptor="C:b a"),
             lambda o: o["chain"].append(
                 {"base": len(o["chain"]) - 1, "layers": [{"kind": "pad", "depth": 10**4}]}
@@ -208,15 +229,33 @@ class TestStateCommands:
             lambda o: o["step_log"][-1]["new_conditions"].append(len(o["chain"]) - 1),
             lambda o: o.update(stage=o["stage"] + 1),
         ]
-        for edit in edits + loaded:
+        # every one is refused on load, so also by check-axioms, which
+        # re-verifies no certificate
+        for edit in edits:
             broken = json.loads(state.read_text())
             edit(broken)
             bad.write_text(json.dumps(broken))
-            commands = (["export"], ["query", "member"]) + ((["check-axioms"],) if edit in loaded else ())
-            for argv in commands:
+            for argv in (["export"], ["query", "member", "--n", 1, "--word", "a"], ["check-axioms"]):
                 assert run([*argv, "--state", bad]) == EXIT_USAGE
                 err = capsys.readouterr().err
                 assert "malformed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["null", "empty", "missing"])
+    def test_d_record_without_payload_is_usage_error(self, state, tmp_path, capsys, edit):
+        # a D record is stored with its cyc payload, so it is refused without
+        # one, not skipped by the re-verification
+        obj = json.loads(state.read_text())
+        rec = next(r for r in obj["certs"].values() if r["kind"] == "D")
+        if edit == "missing":
+            del rec["cyc"]
+        else:
+            rec["cyc"] = None if edit == "null" else {}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["export"], ["query", "member", "--n", 1, "--word", "a"], ["check-axioms"]):
+            assert run([*argv, "--state", bad]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "malformed" in err and "Traceback" not in err
 
     def test_failed_reverification_is_a_failure(self, tmp_path, capsys):
         # a cached conjugacy record whose conjugator f no longer conjugates g
@@ -232,3 +271,91 @@ class TestStateCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "re-verification" in err
         assert "Traceback" not in err
+
+
+# The state fuzzer: what it sets a JSON path to (_DELETE removes the path),
+# and the commands it runs on each edited state.
+_DELETE = object()
+FUZZ_VALUES = (_DELETE, None, "zz", -1, 10**9, [], {}, True, 1.5, "", [1, 2])
+FUZZ_COMMANDS = (
+    ["export"],
+    ["check-axioms"],
+    ["query", "member", "--n", 1, "--word", "a"],
+    ["query", "conj", "--n", 1, "--g", "a", "--h", "b"],
+    ["query", "assgp", "--n", 1, "--g", "a"],
+    ["query", "separate", "--g", "a"],
+)
+# (edit, command) runs known to outlast the alarm.  A pad at depth 10^9
+# loads, and check-axioms asks for every level below it: ROADMAP item 15.
+EXPECTED_HANGS = {("chain/3/layers/0/depth=1000000000", "check-axioms")}
+
+
+class _Alarm(BaseException):
+    """The fuzzer's per-run alarm; not an Exception, so no handler in the
+    code under test can take it for malformed content."""
+
+
+def _raise_alarm(signum, frame):
+    raise _Alarm
+
+
+def _json_paths(obj, path=()):
+    """Every path into a JSON value, each parent before its children."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _json_paths(v, path + (k,))
+
+
+def _edited(obj, path, value):
+    """A copy of obj with path removed or set to value, and the edit's name."""
+    obj = copy.deepcopy(obj)
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    name = "/".join(map(str, path))
+    if value is _DELETE:
+        del parent[path[-1]]
+        return obj, f"del {name}"
+    parent[path[-1]] = value
+    return obj, f"{name}={json.dumps(value)}"
+
+
+def test_fuzzed_state_never_raises(state, tmp_path, capsys):
+    # a seeded sample of edits to a full-10 state's JSON paths; every
+    # command returns an exit status and raises nothing, within a second.
+    # Always run: two D-record fields that once ended in a traceback, and
+    # the pad depth of EXPECTED_HANGS.
+    obj = json.loads(state.read_text())
+    d_key = next(k for k, r in obj["certs"].items() if r["kind"] == "D")
+    rng = random.Random(1)
+    edits = [
+        (("certs", d_key, "cyc", "level"), "1"),
+        (("certs", d_key, "cyc", "gens", 0), ""),
+        (("chain", 3, "layers", 0, "depth"), 10**9),
+    ] + [(path, rng.choice(FUZZ_VALUES)) for path in rng.sample(list(_json_paths(obj)), 40)]
+    bad = tmp_path / "fuzzed.json"
+    failed, hung = [], set()
+    old = signal.signal(signal.SIGALRM, _raise_alarm)
+    try:
+        for path, value in edits:
+            broken, name = _edited(obj, path, value)
+            bad.write_text(json.dumps(broken))
+            for argv in FUZZ_COMMANDS:
+                command = " ".join(argv[:2])
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                try:
+                    outcome = run([*argv, "--state", bad])
+                except _Alarm:
+                    outcome = "hang"
+                except Exception as exc:
+                    outcome = repr(exc)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                if outcome == "hang":
+                    hung.add((name, command))
+                elif outcome not in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_NOT_YET):
+                    failed.append((name, command, outcome))
+            capsys.readouterr()
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert failed == []
+    assert hung <= EXPECTED_HANGS
