@@ -46,7 +46,7 @@ does not build is its base's list object (see :meth:`Nsys.enumerate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Optional
@@ -232,23 +232,12 @@ class BaseSet:
     """A symmetric subset of the free group: finite words plus whole cyclic
     subgroups ⟨c⟩ for each listed generator word c.
 
-    Membership is exact (cyclic membership decides w = c^k precisely).  Each
-    generator is decomposed once, when the set is built, into the
-    :func:`cyclic_parts` that :meth:`contains` tests every word against; the
-    parts take no part in equality, hashing or :meth:`describe`.
+    The layer that adjoins it enters its words into its run's one dict
+    (:func:`_end_index`), which decides membership exactly.
     """
 
     finite: tuple[Word, ...] = ()
     cyclic: tuple[Word, ...] = ()
-    _parts: tuple[CyclicParts, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_parts", tuple(cyclic_parts(c) for c in self.cyclic))
-
-    def contains(self, w: Word) -> bool:
-        if w in self.finite or (w.is_identity() and self.cyclic):
-            return True
-        return any(cyclic_exponent(w, parts) is not None for parts in self._parts)
 
     def enumerate(self, budget: Budget) -> list[Word]:
         out: dict[Word, None] = {}
@@ -280,6 +269,31 @@ def make_base(finite: Iterable[Word] = (), cyclic: Iterable[Word] = ()) -> BaseS
 
 
 IDENTITY_BASE = BaseSet((E,), ())
+
+
+def _end_index(extra: BaseSet, below: dict) -> dict[tuple, list[Word | CyclicParts]]:
+    """``below`` with ``extra`` entered under the (first, last) letters of
+    each word it holds, (None, None) for e: c^k ≠ e is the reduced
+    p·core^|k|·p⁻¹ of ``cyclic_parts(c)``, with p's first and p⁻¹'s last letter
+    when p ≠ e, else core's ends when k > 0 and core⁻¹'s when k < 0."""
+    index = {key: list(cands) for key, cands in below.items()}
+    for w in extra.finite:
+        index.setdefault((w.first, w.last), []).append(w)
+    for c in extra.cyclic:
+        p, p_inv, core, core_inv = parts = cyclic_parts(c)
+        ends = [(p.first, p_inv.last)] if p.length else [(x.first, x.last) for x in (core, core_inv)]
+        for key in [(None, None), *ends]:
+            index.setdefault(key, []).append(parts)
+    return index
+
+
+def _holds(cands: list, w: Word) -> bool:
+    """Does one of the words and cyclic parts a run's dict gives for w's end
+    letters hold w?  ``cyclic_exponent`` decides each part exactly."""
+    for c in cands:
+        if (c == w) if type(c) is Word else cyclic_exponent(w, c) is not None:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +401,9 @@ class Nsys:
         enriched layer's nesting step or one conjugation candidate; handing
         a level to the base costs none, so the budget reaches a deep stack's
         lowest layers.  An enriched layer's own depth n is answered by one
-        helper, a lookup of its floor and adjoined sets, whether a query or
-        a search node asks it, so it costs no node and no walk goes down
-        the run of enriched layers at depth n (see
+        helper, a lookup of its floor and of its run's one dict of adjoined
+        sets, whether a query or a search node asks it, so it costs no node
+        and no walk goes down the run of enriched layers at depth n (see
         ``EnrichedNsys._depth_answer``).  An answer with a fixed reason is a
         shared frozen object: compare answers by value."""
         if not 0 <= i <= self.depth:
@@ -489,18 +503,27 @@ class Nsys:
 
     def adjoined_rep(self, i: int, w: Word):
         """The ``extra`` leaf of the first layer, at or below this one, that
-        adjoins w at its depth L >= i; None when no layer adjoins w.  The
-        leaf stands at level i as it is, because U_L ⊆ U_i (see
+        adjoins w at its depth L >= i, read from one dict per run of
+        enriched layers (:meth:`_adjoining`); None when no layer adjoins
+        w.  The leaf stands at level i as it is, because U_L ⊆ U_i (see
         :meth:`_verify_structure`).  Building it searches nothing, and
         ``verify_rep`` checks it like any certificate."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
-        layer = self
+        return next((Leaf(depth, w, "extra") for depth in self._adjoining(i, self.depth, w)), None)
+
+    def _adjoining(self, i: int, top: int, w: Word):
+        """The depth of each run of enriched layers at or below this one, of
+        depth i..top, whose dict holds w, top first: one lookup by w's end
+        letters per run, stepping over the run by its floor."""
+        key, layer = (w.first, w.last), self
         while layer is not None and layer.depth >= i:
-            if isinstance(layer, EnrichedNsys) and layer.extra.contains(w):
-                return Leaf(layer.depth, w, "extra")
-            layer = layer.base
-        return None
+            if isinstance(layer, EnrichedNsys):
+                if layer.depth <= top and _holds(layer._ends.get(key, ()), w):
+                    yield layer.depth
+                layer = layer.floor
+            else:
+                layer = layer.base
 
     def verify_rep(self, i: int, w: Word, rep) -> tuple[bool, str]:
         """Independent re-check against this stack: structure, leaf claims,
@@ -544,19 +567,14 @@ class Nsys:
         hold e above the root's depth; the root holds a leaf of its own
         origin when it answers yes for the leaf's word at the leaf's level,
         without a search; and each enriched layer as deep as an ``extra``
-        leaf holds its adjoined set."""
+        leaf holds its adjoined set, read from one dict per run (``_adjoining``)."""
         L, root = leaf.level, self.root
         if leaf.origin == "pad":
             return root.depth < L <= self.depth and leaf.word.is_identity()
         if leaf.origin != "extra":
             own = leaf.origin == root.origin and L <= root.depth
             return own and root._own_answer(L, leaf.word, None).is_yes
-        layer = self
-        while layer is not None and layer.depth >= L:
-            if layer.depth == L and isinstance(layer, EnrichedNsys) and layer.extra.contains(leaf.word):
-                return True
-            layer = layer.base
-        return False
+        return L in self._adjoining(L, L, leaf.word)
 
     def ancestors(self, stop: "Nsys | None" = None) -> list["Nsys"]:
         """This layer and the layers below it, top first, down to but not
@@ -655,7 +673,8 @@ class EnrichedNsys(Nsys):
     depth n (a pad's {e}, or the root), and then of the run's adjoined
     sets.  A query at level n and the search's questions about level n
     (see :meth:`_certify`) both get it, so no walk goes down that run and
-    no node is charged for that level.
+    no node is charged for that level.  The adjoined sets of the run from
+    this layer down are one dict, its base's in the run and its own set.
 
     ``bounded_base_size`` is the base alphabet's size when this layer is a
     cyclic fresh-letter or {e} enrichment, where the letter-count bound
@@ -680,6 +699,7 @@ class EnrichedNsys(Nsys):
         # the first layer below the run of enriched layers at this depth
         self.floor = base.floor if isinstance(base, EnrichedNsys) else base
         self.extra = extra
+        self._ends = _end_index(extra, base._ends if isinstance(base, EnrichedNsys) else {})
         self.bounded_base_size = _detect_bounded(base, extra, alphabet)
 
     # -- helpers -------------------------------------------------------------
@@ -702,16 +722,16 @@ class EnrichedNsys(Nsys):
         return self._depth_answer(w) if i == self.depth else None
 
     def _depth_answer(self, w):
-        """Level n = U_n ∪ B: the floor's yes, else the ``extra`` leaf of
-        :meth:`adjoined_rep`, else no.  The floor (a pad, or a trivial or
-        explicit root) answers only yes or no, and level n of the run of
-        enriched layers on it is the floor's level together with the run's
-        adjoined sets, so the answer is exact and needs no search."""
+        """Level n = U_n ∪ B: the floor's yes, else the ``extra`` leaf when the
+        run's one dict holds w (:func:`_holds`), else no.  The floor (a pad,
+        or a trivial or explicit root) answers only yes or no, and level n of
+        the run of enriched layers on it is the floor's level together with
+        the run's adjoined sets, so the answer is exact and needs no search."""
         ans = self.floor._own_answer(self.depth, w, None)
         if ans.is_yes:
             return ans
-        rep = self.adjoined_rep(self.depth, w)
-        return _NO_BASE_OR_EXTRA if rep is None else _yes(rep)
+        held = _holds(self._ends.get((w.first, w.last), ()), w)
+        return _yes(Leaf(self.depth, w, "extra")) if held else _NO_BASE_OR_EXTRA
 
     def _after_base(self, i, w, base_ans, ctx):
         if base_ans.is_yes:

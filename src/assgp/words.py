@@ -709,8 +709,8 @@ def cyclic_exponent(w: Word, parts: CyclicParts) -> Optional[int]:
 def cyclic_member(w: Word, c: Word) -> Optional[int]:
     """The exponent k with w = c^k, or None; raises :class:`EmptyGenerator`
     when c = e.  Decomposes c on every call: a caller that tests many words
-    against one c (:class:`~assgp.nbhd.BaseSet`, the η check) calls
-    :func:`cyclic_parts` once and :func:`cyclic_exponent` per word."""
+    against one c (an enriched layer's dict of adjoined words, the η check)
+    calls :func:`cyclic_parts` once and :func:`cyclic_exponent` per word."""
     return cyclic_exponent(w, cyclic_parts(c))
 
 

@@ -1,12 +1,24 @@
 """Test oracles: a root system whose finite levels are written out by hand,
-so a test can state a level's members exactly, and the extension check that
-scans every level."""
+so a test can state a level's members exactly, the extension check that
+scans every level, and the walk that tests every layer's adjoined set."""
 
+import functools
+import itertools
 from typing import Iterable
 
-from assgp.nbhd import DEFAULT_BUDGET, Budget, Leaf, MembershipAnswer, NbhdError, Nsys, ZeroDepth
+from assgp.nbhd import (
+    DEFAULT_BUDGET,
+    BaseSet,
+    Budget,
+    EnrichedNsys,
+    Leaf,
+    MembershipAnswer,
+    NbhdError,
+    Nsys,
+    ZeroDepth,
+)
 from assgp.poset import Condition, ExtensionReport
-from assgp.words import E, IdSet, Word, supported_in, word_key
+from assgp.words import E, IdSet, Word, cyclic_exponent, cyclic_parts, supported_in, word_key
 
 _NO_EXPLICIT = MembershipAnswer("no", None, "not in the explicit level set")
 
@@ -72,3 +84,34 @@ def reference_extension_report(
             elif not ans.is_yes:
                 rpt.unknowns += 1
     return rpt
+
+
+_parts = functools.cache(cyclic_parts)  # each generator decomposed once per session
+
+
+def reference_adjoins(extra: BaseSet, w: Word) -> bool:
+    """The scan of one adjoined set: w is one of its finite words, or e
+    beside a cyclic generator, or a power of a cyclic generator."""
+    if w in extra.finite or (w.is_identity() and extra.cyclic):
+        return True
+    return any(cyclic_exponent(w, _parts(c)) is not None for c in extra.cyclic)
+
+
+def reference_adjoined(system: Nsys, w: Word) -> list[tuple["Leaf | None", bool]]:
+    """The reference for ``Nsys.adjoined_rep`` and for the ``extra`` leaves
+    that ``Nsys.verify_rep`` accepts, at every level i of ``system``: the
+    walk down the layers whose depth is at least i, testing every layer's
+    adjoined set in turn (each set tested once for all levels).  At level
+    i, the leaf of the first layer that holds w, or None; and whether a
+    layer at exactly depth i holds it."""
+    layers = [
+        (layer.depth, isinstance(layer, EnrichedNsys) and reference_adjoins(layer.extra, w))
+        for layer in system.ancestors()
+    ]
+    out = []
+    for i in range(system.depth + 1):
+        walk = list(itertools.takewhile(lambda layer: layer[0] >= i, layers))
+        depth = next((d for d, held in walk if held), None)
+        rep = None if depth is None else Leaf(depth, w, "extra")
+        out.append((rep, any(held and d == i for d, held in walk)))
+    return out

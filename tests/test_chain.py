@@ -49,10 +49,22 @@ from assgp.poset import (
     TrivialG,
     is_extension,
 )
-from assgp.words import E, IdSet, letters, multiply, parse_word, reduce, single, supported_in
+from assgp.words import (
+    E,
+    IdSet,
+    flatten_letters,
+    letters,
+    multiply,
+    parse_word,
+    power,
+    reduce,
+    single,
+    supported_in,
+    word_key,
+)
 
 from conftest import SHARED_BUDGET, W, descriptor_from_key, rand_nonempty_word, shared_level_stack
-from oracle import reference_extension_report
+from oracle import reference_adjoined, reference_extension_report
 
 BUD = Budget(leaf_len=6, exp=2, nodes=120)
 a, b = single(0), single(1)
@@ -877,6 +889,40 @@ class TestChecksDoNotSearch:
         assert system.adjoined_rep(1, w) is None
         cert = ps.CycCert(w, (w,), (w,), (1,), 1)
         assert ps.verify_cyc_cert(cert, system) == (False, f"power {w}^1 not certified at level 1")
+
+
+def adjoined_probes(system):
+    """e, and for each word c that an enriched layer of the stack adjoins,
+    its powers c^±1..3, and c^±1 with its first or last letter changed to
+    the next generator's, conjugated by a, and turned by one letter."""
+    out = {E}
+    for layer in system.ancestors():
+        for c in layer.extra.finite + layer.extra.cyclic if isinstance(layer, EnrichedNsys) else ():
+            out.update(power(c, k) for k in (1, 2, 3, -1, -2, -3))
+            for w in (c, c.inverse()) if not c.is_identity() else ():
+                spelled = flatten_letters(w)
+                for pos in (0, len(spelled) - 1):
+                    other = spelled[pos] + (1 if spelled[pos] > 0 else -1)
+                    out.add(reduce(spelled[:pos] + [other] + spelled[pos + 1 :]))
+                for x in (a, reduce([-w.first])):
+                    out.add(multiply(multiply(x, w), x.inverse()))
+    return sorted(out, key=word_key)
+
+
+class TestAdjoinedIndex:
+    """One dict per run of enriched layers answers what the walk that tests
+    every layer's adjoined set answers (the reference in ``oracle``)."""
+
+    @pytest.mark.parametrize("preset, steps", [("full", 240), ("assgp", 120)])
+    def test_lookup_matches_the_per_layer_walk(self, preset, steps):
+        system = built_chain(preset, steps, 0).chain[-1].system
+        found = 0
+        for w in adjoined_probes(system):
+            for i, (rep, vouched) in enumerate(reference_adjoined(system, w)):
+                assert system.adjoined_rep(i, w) == rep, (i, str(w))
+                assert system.verify_rep(i, w, Leaf(i, w, "extra"))[0] == vouched, (i, str(w))
+                found += vouched
+        assert found
 
 
 class TestGroupAxioms:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assgp import words as wd
+from assgp import nbhd
 from assgp.nbhd import make_base
 from assgp.words import E, IdSet, Run
 
@@ -479,6 +480,15 @@ class TestSegmentComparator:
             assert got is None
 
 
+def _adjoining(finite=(), cyclic=()):
+    """The one-layer run that adjoins the given set to a trivial root."""
+    extra = make_base(finite, cyclic)
+    alphabet = IdSet.empty()
+    for w in extra.finite + extra.cyclic:
+        alphabet = alphabet.union(wd.letters(w))
+    return nbhd.enrich(nbhd.trivial_system(IdSet.empty(), 1), extra, alphabet)
+
+
 def _power_exponent(w, c):
     """The k with w = c^k by brute force over |k| <= |w|, or None."""
     return next((k for k in range(-w.length, w.length + 1) if wd.power(c, k) == w), None)
@@ -524,7 +534,7 @@ class TestCyclicParts:
             assert want == k
         assert wd.cyclic_member(w, c) == want
         assert wd.cyclic_exponent(w, wd.cyclic_parts(c)) == want
-        assert make_base(cyclic=[c]).contains(w) == (want is not None)
+        assert (_adjoining(cyclic=[c]).adjoined_rep(1, w) is not None) == (want is not None)
         with pytest.raises(wd.EmptyGenerator):
             wd.cyclic_member(w, E)
 
@@ -532,10 +542,25 @@ class TestCyclicParts:
         gens = [W("a b a^-1"), wd.fresh_run(3, 5), W("b^-1 c")]
         one = make_base(finite=[W("a"), W("a^-1")], cyclic=gens)
         two = make_base(finite=[W("a^-1"), W("a")], cyclic=[W(str(c)) for c in reversed(gens)])
+        # the keyed parts live in the adjoining layer, not in the set
         assert one == two and hash(one) == hash(two)
         assert one.describe() == two.describe()
-        assert "_parts" not in repr(one)
-        assert one._parts == tuple(wd.cyclic_parts(c) for c in one.cyclic)
+        assert "parts" not in repr(one) and vars(one) == {"finite": one.finite, "cyclic": one.cyclic}
+        layer = _adjoining(one.finite, one.cyclic)
+        assert layer.node_obj()["extra"] == one.describe()
+        # each generator's parts are one object under each of its keys: e's,
+        # then p's first and p⁻¹'s last letter when p != e, else core's ends
+        # and core⁻¹'s (letter ±(id + 1))
+        ends = {gens[0]: {(1, -1)}, gens[1]: {(4, 8), (-8, -4)}, gens[2]: {(-2, 3), (-3, 2)}}
+        for c, keys in ends.items():
+            keyed = {key: x for key, cands in layer._ends.items() for x in cands if x == wd.cyclic_parts(c)}
+            assert set(keyed) == {(None, None), *keys}
+            assert len({id(x) for x in keyed.values()}) == 1
+        assert layer._ends[(1, 1)] == [W("a")] and layer._ends[(-1, -1)] == [W("a^-1")]
+        # a layer stacked on it in its run keeps the same part objects
+        upper = nbhd.enrich(layer, nbhd.IDENTITY_BASE, layer.alphabet)
+        assert upper._ends[(None, None)] == [*layer._ends[(None, None)], E]
+        assert all(x is y for key, cands in layer._ends.items() for x, y in zip(cands, upper._ends[key]))
         p, p_inv, core, core_inv = wd.cyclic_parts(W("a b a^-1"))
         assert (p, p_inv, core, core_inv) == (W("a"), W("a^-1"), W("b"), W("b^-1"))
 
