@@ -215,7 +215,7 @@ def _suite_letter_bound(trials: int) -> dict:
     }
 
 
-def _suite_extension(trials: int, seed: int) -> dict:
+def _suite_extension(trials: int) -> dict:
     counterexamples = []
     checked = 0
     if trials > 0:
@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
         _suite_same_sign(max(trials // 5, 0), args.seed + 2),
         _suite_eta(max(trials // 5, 0), args.seed + 3, args.inject_bug),
         _suite_letter_bound(trials),
-        _suite_extension(trials, args.seed + 4),
+        _suite_extension(trials),
     ]
     total_cx = sum(len(s["counterexamples"]) for s in suites)
     vacuous = all(s["trials"] == 0 for s in suites)

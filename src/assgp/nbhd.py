@@ -60,6 +60,8 @@ from .words import (
     conjugate,
     cyclic_exponent,
     cyclic_parts,
+    gen_of,
+    letter_count,
     letters,
     multiply,
     parse_word,
@@ -652,8 +654,7 @@ def _detect_bounded(U: Nsys, extra: BaseSet, ambient: IdSet) -> Optional[int]:
     if extra.finite not in ((), (E,)):
         return None
     for c in extra.cyclic:
-        sup = letters(c)
-        if sup.size != 1 or not sup.issubset(fresh):
+        if letter_count(c) != 1 or gen_of(c.first) not in fresh:
             return None
     return U.alphabet.size
 
@@ -715,7 +716,7 @@ class EnrichedNsys(Nsys):
         if not supported_in(w, self.alphabet):
             return _NO_LETTERS
         bound = self._bound(i)
-        if bound is not None and letters(w).size > bound:
+        if bound is not None and letter_count(w) > bound:
             return _no(f"letter count exceeds the enrichment bound {bound}")
         if ctx.nodes_left <= 0:
             return _UNKNOWN_BUDGET
@@ -889,9 +890,26 @@ def identity_extension(U: Nsys, fresh: IdSet) -> EnrichedNsys:
 def letter_bound_check(rep, base_alphabet_size: int, n: int, i: int) -> bool:
     """Σ|lett(a_l)| over the flattened factors against |X|·4^(n-i).  The
     factors run down to the leaves, so a member that the certificate takes
-    from a base layer counts with the factors of its own certificate there."""
-    total = sum(letters(f).size for f in flatten_factors(rep))
-    return total <= base_alphabet_size * 4 ** (n - i)
+    from a base layer counts with the factors of its own certificate there.
+    Each distinct node is counted once, on an explicit stack: a leaf's
+    factor is its word, and a conjugation node's are x, x⁻¹ and its
+    children's, so a node shared by many parents costs one count."""
+    counts: dict[int, int] = {}  # id(node) -> Σ|lett| over its factors
+    todo = [rep]
+    while todo:
+        node = todo[-1]
+        if isinstance(node, Leaf):
+            counts[id(node)] = letter_count(node.word)
+        elif (left := counts.get(id(node.left))) is None:
+            todo.append(node.left)
+            continue
+        elif (right := counts.get(id(node.right))) is None:
+            todo.append(node.right)
+            continue
+        else:
+            counts[id(node)] = 2 * letter_count(node.x) + left + right
+        todo.pop()
+    return counts[id(rep)] <= base_alphabet_size * 4 ** (n - i)
 
 
 # ---------------------------------------------------------------------------

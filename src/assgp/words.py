@@ -10,10 +10,12 @@ of segments.  A segment is either an explicit tuple of letters or a
 :class:`Run`: the signed letters ``first, first + 1, ...``, that is a block
 ``x_i·x_{i+1}·...·x_j`` of ascending generator ids or its inverse.  Runs are
 what make words such as ``x0·x1·...·x{2^32-1}`` representable: every
-operation below works on segment descriptors and never expands a run, so
-multiplication, inversion and equality cost time proportional to the number
-of segments, not letters.  Lengths are plain Python ints and may be
-astronomically large.
+operation below works on segment descriptors and never expands a run.  A
+product walks only the segments that cancel at the junction (a run against
+a run in one step), re-glues the segments beside them and concatenates the
+rest as tuples; inversion and equality cost time proportional to the number
+of segments.  Lengths are plain Python ints, may be astronomically large,
+and are carried over from the factors, never summed again.
 
 Each word has exactly one segmentation: every maximal stretch of at least
 ``RUN_MIN`` letters ``a, a + 1, a + 2, ...`` is one Run, and the letters
@@ -344,15 +346,17 @@ def _segment(seq: list) -> tuple:
 class Word:
     __slots__ = ("_segs", "_length", "_hash", "_text")
 
-    def __init__(self, segs: tuple):
+    def __init__(self, segs: tuple, length: Optional[int] = None):
         """Internal constructor: ``segs`` must be the canonical segments of a
-        freely reduced letter sequence (see the module docstring).  Build
-        words with the public constructors instead."""
+        freely reduced letter sequence (see the module docstring), and
+        ``length``, when given, its number of letters.  Build words with the
+        public constructors instead."""
         self._segs = segs
-        total = 0
-        for s in segs:
-            total += s.count if type(s) is Run else len(s)
-        self._length = total
+        if length is None:
+            length = 0
+            for s in segs:
+                length += s.count if type(s) is Run else len(s)
+        self._length = length
         self._hash: Optional[int] = None
         self._text: Optional[str] = None
 
@@ -384,7 +388,7 @@ class Word:
 
     def inverse(self) -> "Word":
         # inverting keeps every stretch a stretch, so the form stays canonical
-        return Word(tuple(_seg_inv(s) for s in reversed(self._segs)))
+        return Word(tuple(_seg_inv(s) for s in reversed(self._segs)), self._length)
 
     def __pow__(self, k: int) -> "Word":
         return power(self, k)
@@ -412,7 +416,7 @@ class Word:
         return f"W({self.__str__()})"
 
 
-E = Word(())
+E = Word((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +436,12 @@ def reduce(raw: Iterable[Letter]) -> Word:
             stack.append(l)
     if not stack:
         return E
-    return Word(_segment(stack))
+    return Word(_segment(stack), len(stack))
 
 
 def single(gen: GeneratorId, sign: int = 1) -> Word:
     """One-letter word."""
-    return Word(((letter(gen, sign),),))
+    return Word(((letter(gen, sign),),), 1)
 
 
 def fresh_run(start: GeneratorId, k: int) -> Word:
@@ -447,7 +451,7 @@ def fresh_run(start: GeneratorId, k: int) -> Word:
     """
     if k < 1:
         raise ValueError(f"fresh_run needs k >= 1, got {k}")
-    return Word((_mk_run(letter(start), k),))
+    return Word((_mk_run(letter(start), k),), k)
 
 
 def _clean(x: Letter, y: Letter) -> bool:
@@ -457,17 +461,21 @@ def _clean(x: Letter, y: Letter) -> bool:
 
 def multiply(v: Word, w: Word) -> Word:
     """The reduced product v·w.  Across a clean junction (:func:`_clean`) its
-    segments are v's then w's, with a tuple meeting a tuple joined into one."""
+    segments are v's then w's, with a tuple meeting a tuple joined into one;
+    else :func:`_walk` cancels the junction, and only the segments beside
+    the cancelled ones are glued again.  Its length is |v| + |w| − 2m."""
     vs, ws = v._segs, w._segs
     if not (vs and ws):
         return v if vs else w
     t, s = vs[-1], ws[0]
+    n = v._length + w._length
     if _clean(t.last if type(t) is Run else t[-1], s.first if type(s) is Run else s[0]):
         if type(t) is tuple and type(s) is tuple:
-            return Word(vs[:-1] + (t + s,) + ws[1:])
-        return Word(vs + ws)
-    left, right, _ = _junction(list(vs), list(ws))
-    return Word(_glue(left + right))
+            return Word(vs[:-1] + (t + s,) + ws[1:], n)
+        return Word(vs + ws, n)
+    i, a, j, b, m = _walk(vs, ws)
+    lo = i - 1 if i else 0  # a short remainder of a run joins the tuple before it
+    return Word(vs[:lo] + _glue(vs[lo:i] + (a, b) + ws[j + 1 : j + 2]) + ws[j + 2 :], n - 2 * m)
 
 
 def conjugate(x: Word, w: Word, x_inv: Word) -> Word:
@@ -492,54 +500,53 @@ def conjugate(x: Word, w: Word, x_inv: Word) -> Word:
             segs = (xs + head,) + segs[1:] if type(head) is tuple else (xs,) + segs
             tail = segs[-1]  # the joined head when w has one segment
             segs = segs[:-1] + (tail + xis,) if type(tail) is tuple else segs + (xis,)
-            out = Word(segs)
+            out = Word(segs, w._length + 2)
             if w._text is not None:
                 out._text = f"{x} {w._text} {x_inv}"
             return out
     return multiply(multiply(x, w), x_inv)
 
 
-def _junction(left: list, right: list) -> tuple[list, list, int]:
-    """Cancel the junction between ``left`` and ``right`` segment lists.
+def _walk(vs: tuple, ws: tuple) -> tuple:
+    """Cancel the junction of the non-empty canonical segments ``vs`` and
+    ``ws`` by index, copying no segment list.
 
-    Returns the surviving segment lists and the number of cancelled letter
-    pairs.  Cost is proportional to segment count plus explicit letters
-    touched; run-against-run cancellation is O(1) per segment pair.
+    Returns ``(i, a, j, b, m)``: ``a`` is what is left of ``vs[i]`` and
+    ``b`` of ``ws[j]`` (either may be empty, and a run cut below ``RUN_MIN``
+    letters is explicit), ``vs[:i]`` and ``ws[j + 1:]`` are untouched, and
+    ``m`` letter pairs cancel.  A run against a run cancels in one step.
     """
-    cancelled = 0
-    ri = 0
-    while left and ri < len(right):
-        a = left[-1]
-        b = right[ri]
-        if _seg_last(a) != -_seg_first(b):
-            break
-        la, lb = _seg_len(a), _seg_len(b)
-        if type(a) is Run and type(b) is Run:
-            # b starts with the inverse of a's last stretch, letter for letter
-            m = min(la, lb)
+    i, j, m = len(vs) - 1, 0, 0
+    a, b = vs[i], ws[0]
+    while True:
+        ra, rb = type(a) is Run, type(b) is Run
+        if (a.last if ra else a[-1]) != -(b.first if rb else b[0]):
+            return i, a, j, b, m
+        la = a.count if ra else len(a)
+        lb = b.count if rb else len(b)
+        if ra and rb:
+            k = min(la, lb)  # b starts with the inverse of a's last stretch
         else:
-            m = 1
-            while m < min(la, lb) and _letter_at(a, la - 1 - m) == -_letter_at(b, m):
-                m += 1
-        cancelled += m
-        a2 = _seg_drop_back(a, m)
-        b2 = _seg_drop_front(b, m)
-        left.pop()
-        if a2:
-            left.append(a2)
-        if b2:
-            right[ri] = b2
-        else:
-            ri += 1
-        if a2 and b2:
-            break  # boundary letters no longer inverse
-    return left, right[ri:], cancelled
+            k, top = 1, min(la, lb)
+            while k < top and _letter_at(a, la - 1 - k) == -_letter_at(b, k):
+                k += 1
+        m += k
+        a, b = _seg_drop_back(a, k), _seg_drop_front(b, k)
+        if not a:
+            if not i:
+                return i, a, j, b, m
+            i -= 1
+            a = vs[i]
+        if not b:
+            if j == len(ws) - 1:
+                return i, a, j, b, m
+            j += 1
+            b = ws[j]
 
 
 def junction_cancels(v: Word, w: Word) -> int:
     """Number of letter pairs that cancel in the product v·w."""
-    _, _, m = _junction(list(v._segs), list(w._segs))
-    return m
+    return _walk(v._segs, w._segs)[4] if v._segs and w._segs else 0
 
 
 def power(w: Word, k: int) -> Word:
@@ -563,15 +570,23 @@ def is_concatenation(v: Word, w: Word) -> bool:
     return v.is_identity() or w.is_identity() or v.last != -w.first
 
 
+def _explicit_ids(w: Word) -> set:
+    """The absolute values (ids plus one) of w's explicit letters."""
+    return {abs(l) for s in w._segs if type(s) is tuple for l in s}
+
+
 def letters(w: Word) -> IdSet:
-    """Support of w as a compact id set; letters(e) is empty."""
-    pairs = []
-    for s in w._segs:
-        if type(s) is Run:
-            pairs.append(s.ids())
-        else:
-            pairs.extend((gen_of(l), gen_of(l)) for l in s)
-    return IdSet.from_intervals(pairs)
+    """Support of w as a compact id set; letters(e) is empty.  Each explicit
+    id enters once, and each run as its range."""
+    runs = [s.ids() for s in w._segs if type(s) is Run]
+    return IdSet.from_intervals(runs + [(l - 1, l - 1) for l in _explicit_ids(w)])
+
+
+def letter_count(w: Word) -> int:
+    """|letters(w)|; a word with no run builds no id set."""
+    if any(type(s) is Run for s in w._segs):
+        return letters(w).size
+    return len(_explicit_ids(w))
 
 
 def occurs(gen: GeneratorId, w: Word) -> bool:
@@ -622,11 +637,11 @@ def split_at(w: Word, i: int) -> tuple[Word, Word]:
             head.append(s)
             rest -= n
             if rest == 0:
-                return Word(tuple(head)), Word(segs[idx + 1 :])
+                return Word(tuple(head), i), Word(segs[idx + 1 :], w._length - i)
         else:
             head.append(_seg_drop_back(s, n - rest))
             tail = (_seg_drop_front(s, rest),) + segs[idx + 1 :]
-            return Word(_glue(head)), Word(_glue(tail))
+            return Word(_glue(head), i), Word(_glue(tail), w._length - i)
     raise AssertionError("unreachable")
 
 

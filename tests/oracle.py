@@ -1,6 +1,7 @@
 """Test oracles: a root system whose finite levels are written out by hand,
 so a test can state a level's members exactly, the extension check that
-scans every level, and the walk that tests every layer's adjoined set."""
+scans every level, the walk that tests every layer's adjoined set, and a
+word's support read off its spelled-out letters."""
 
 import functools
 import itertools
@@ -18,7 +19,17 @@ from assgp.nbhd import (
     ZeroDepth,
 )
 from assgp.poset import Condition, ExtensionReport
-from assgp.words import E, IdSet, Word, cyclic_exponent, cyclic_parts, supported_in, word_key
+from assgp.words import (
+    E,
+    IdSet,
+    Word,
+    cyclic_exponent,
+    cyclic_parts,
+    flatten_letters,
+    gen_of,
+    supported_in,
+    word_key,
+)
 
 _NO_EXPLICIT = MembershipAnswer("no", None, "not in the explicit level set")
 
@@ -115,3 +126,8 @@ def reference_adjoined(system: Nsys, w: Word) -> list[tuple["Leaf | None", bool]
         rep = None if depth is None else Leaf(depth, w, "extra")
         out.append((rep, any(held and d == i for d, held in walk)))
     return out
+
+
+def reference_letters(w: Word) -> IdSet:
+    """The reference for ``letters``: the id of every letter of w, spelled out."""
+    return IdSet.from_ids(gen_of(l) for l in flatten_letters(w))

@@ -65,7 +65,8 @@ def test_no_unused_imports(path):
 
 
 def word_constructor_calls(source: str) -> list[int]:
-    """Lines that call ``Word(...)``, bare or as an attribute."""
+    """Lines that call ``Word(...)``, bare or as an attribute, with or
+    without the length that the product kernel carries over."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
@@ -78,15 +79,24 @@ def word_constructor_calls(source: str) -> list[int]:
 
 
 def test_checker_finds_word_constructor_calls():
-    source = "from .words import Word\nimport assgp.words as wd\nx = Word(())\ny = wd.Word(((1,),))\nz: Word\n"
-    assert word_constructor_calls(source) == [3, 4]
+    source = (
+        "from .words import Word\n"
+        "import assgp.words as wd\n"
+        "x = Word(())\n"
+        "y = wd.Word(((1,),))\n"
+        "z: Word\n"
+        "u = Word(((1, 2),), 2)\n"
+        "v = wd.Word(y.segments, length=y.length)\n"
+    )
+    assert word_constructor_calls(source) == [3, 4, 6, 7]
 
 
 @pytest.mark.parametrize(
     "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "words.py"), ids=lambda p: p.name
 )
 def test_only_words_builds_a_word_from_segments(path):
-    # a Word's segments must be canonical, which only words.py guarantees
+    # a Word's segments must be canonical and its length theirs, which only
+    # words.py guarantees
     assert word_constructor_calls(path.read_text()) == []
 
 

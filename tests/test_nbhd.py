@@ -1,10 +1,11 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
-from assgp import nbhd
+from assgp import cli, nbhd
 from assgp import words as wd
 from assgp.nbhd import (
     Budget,
@@ -660,6 +661,38 @@ class TestLetterBound:
                         assert letter_bound_check(rep, base_alpha.size, n, i), (
                             f"|X|={base_alpha.size} n={n} i={i} w={w}"
                         )
+
+
+def _counts(rep, total):
+    """Does ``letter_bound_check`` count exactly ``total`` letters in rep?
+    At n = i the bound is |X| itself."""
+    return letter_bound_check(rep, total, 0, 0) and not letter_bound_check(rep, total - 1, 0, 0)
+
+
+class TestLetterCountPerNode:
+    def test_shared_chain_is_counted_once_per_node(self):
+        # flattening this chain gives 2^60 factors
+        rep = Leaf(60, W("a b a"), "trivial")
+        for i in reversed(range(60)):
+            rep = Conj(i, E, rep, rep)
+        t = time.perf_counter()
+        assert _counts(rep, 2 * 2**60)
+        assert time.perf_counter() - t < 0.1
+
+    def test_equals_the_per_factor_sum_on_the_verify_suite(self):
+        # the stacks of the verify command's letter-bound suite
+        budget, checked = Budget(leaf_len=6, exp=2, nodes=150), 0
+        for size in (1, 2):
+            for n in (1, 2):
+                U = trivial_system(IdSet.from_range(0, size - 1), n)
+                for V in (cyclic_alphabet_extension(U, IdSet.from_range(40, 41)),
+                          identity_extension(U, IdSet.from_range(40, 41))):
+                    for i in range(n + 1):
+                        for w, rep in V.enumerate(i, budget):
+                            checked += 1
+                            total = sum(letters(f).size for f in nbhd.flatten_factors(rep))
+                            assert _counts(rep, total), f"|X|={size} n={n} i={i} w={w}"
+        assert checked == cli._suite_letter_bound(1)["trials"]
 
 
 class TestSerialization:

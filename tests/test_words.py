@@ -11,6 +11,7 @@ from assgp.nbhd import make_base
 from assgp.words import E, IdSet, Run
 
 from conftest import W, naive_mul, naive_reduce, rand_word
+from oracle import reference_letters
 
 
 def letters_st(max_gen=3):
@@ -772,3 +773,71 @@ class TestOccurs:
         w = _resegment(wd.flatten_letters(_product(pieces)), data)
         assert wd.occurs(gen, w) == (gen in wd.letters(w))
         assert wd.occurs(gen, w.inverse()) == wd.occurs(gen, w)
+
+
+def _drawn_letters(rng, blocks):
+    """Reduced letters from ``blocks`` drawn pieces, each a stretch of 1..6
+    letters over ids 0..13 (either sign) or 1..4 loose letters over ids 0..8,
+    so that the word mixes Runs and explicit tuples."""
+    out = []
+    for _ in range(blocks):
+        if rng.random() < 0.5:
+            up = _stretch(rng.randint(0, 8), rng.randint(1, 6), 1)
+            out += up if rng.random() < 0.5 else [-l for l in reversed(up)]
+        else:
+            out += [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+    return naive_reduce(out)
+
+
+class TestJunctionWalk:
+    """``multiply``, ``junction_cancels`` and ``cyclic_decompose`` against
+    the reduction of the spelled-out letters.  w begins with the inverse of
+    a drawn suffix of v, so the cancellation crosses several segments and
+    cuts runs short beside tuples, which hypothesis draws seldom reach."""
+
+    def test_products_match_the_letter_reduction(self):
+        rng = random.Random(2803)
+        crossings = 0
+        for _ in range(3000):
+            v_letters = _drawn_letters(rng, rng.randint(0, 5))
+            k = rng.randint(0, len(v_letters))
+            w_letters = naive_reduce(
+                [-l for l in reversed(v_letters[len(v_letters) - k :])]
+                + _drawn_letters(rng, rng.randint(0, 4))
+            )
+            v, w = wd.reduce(v_letters), wd.reduce(w_letters)
+            want = wd.reduce(v_letters + w_letters)
+            got = wd.multiply(v, w)
+            assert got.segments == want.segments == canonical_segments(wd.flatten_letters(want))
+            assert got.length == want.length
+            m = wd.junction_cancels(v, w)
+            assert v.length + w.length - 2 * m == want.length
+            if v.segments:
+                last = v.segments[-1]
+                crossings += m > (last.count if isinstance(last, Run) else len(last))
+        assert crossings > 300  # products whose cancellation crosses a segment of v
+
+    def test_cyclic_decompose_matches_the_letter_reduction(self):
+        rng = random.Random(2804)
+        for _ in range(1000):
+            p_letters = _drawn_letters(rng, rng.randint(0, 3))
+            core = _drawn_letters(rng, rng.randint(1, 3))
+            letters = naive_reduce(p_letters + core + [-l for l in reversed(p_letters)])
+            if not letters:
+                continue
+            w = wd.reduce(letters)
+            m = (2 * len(letters) - len(naive_mul(letters, letters))) // 2
+            assert wd.junction_cancels(w, w) == m
+            p, c = wd.cyclic_decompose(w)
+            want_p, want_c = wd.reduce(letters[:m]), wd.reduce(letters[m : len(letters) - m])
+            assert p.segments == want_p.segments and p.length == want_p.length == m
+            assert c.segments == want_c.segments and c.length == want_c.length
+
+
+class TestLetterCount:
+    @settings(max_examples=200, deadline=None)
+    @given(pieces_st, st.data())
+    def test_matches_the_spelled_out_support(self, pieces, data):
+        w = _resegment(wd.flatten_letters(_product(pieces)), data)
+        assert wd.letters(w) == reference_letters(w)
+        assert wd.letter_count(w) == wd.letters(w).size
