@@ -663,7 +663,7 @@ class TestLetterBound:
                         )
 
 
-def _counts(rep, total):
+def _counts_exactly(rep, total):
     """Does ``letter_bound_check`` count exactly ``total`` letters in rep?
     At n = i the bound is |X| itself."""
     return letter_bound_check(rep, total, 0, 0) and not letter_bound_check(rep, total - 1, 0, 0)
@@ -676,7 +676,7 @@ class TestLetterCountPerNode:
         for i in reversed(range(60)):
             rep = Conj(i, E, rep, rep)
         t = time.perf_counter()
-        assert _counts(rep, 2 * 2**60)
+        assert _counts_exactly(rep, 2 * 2**60)
         assert time.perf_counter() - t < 0.1
 
     def test_equals_the_per_factor_sum_on_the_verify_suite(self):
@@ -691,7 +691,7 @@ class TestLetterCountPerNode:
                         for w, rep in V.enumerate(i, budget):
                             checked += 1
                             total = sum(letters(f).size for f in nbhd.flatten_factors(rep))
-                            assert _counts(rep, total), f"|X|={size} n={n} i={i} w={w}"
+                            assert _counts_exactly(rep, total), f"|X|={size} n={n} i={i} w={w}"
         assert checked == cli._suite_letter_bound(1)["trials"]
 
 

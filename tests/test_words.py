@@ -806,7 +806,7 @@ class TestJunctionWalk:
                 + _drawn_letters(rng, rng.randint(0, 4))
             )
             v, w = wd.reduce(v_letters), wd.reduce(w_letters)
-            want = wd.reduce(v_letters + w_letters)
+            want = wd.reduce(wd.flatten_letters(v) + wd.flatten_letters(w))
             got = wd.multiply(v, w)
             assert got.segments == want.segments == canonical_segments(wd.flatten_letters(want))
             assert got.length == want.length
