@@ -16,15 +16,16 @@ Membership in a level is certificate search.  A certificate is a derivation
 tree: a leaf names the layer of the stack that holds its word (an adjoined
 set B, a padded {e} level or the root) and the level L where that layer
 holds it, inner nodes assert ``w = x·u·v·x⁻¹`` with u, v certified one level
-deeper.  Flattening a tree yields the factor sequence a_1 · ... · a_m whose
-product is the certified word; certificates re-verify against the stack by
-multiplying that sequence back together, independently of the search that
-found them.  Every level of a layer lies in the same level of each system
-stacked on it, so a certificate made in one layer verifies unchanged in all
-of them.  Every level holds e, so an enriched layer's closure with x = e
-nests its levels, U_{i+1} ⊆ U_i below its depth: a leaf of level L stands
-at any shallower level that the stack's highest enriched layer builds, and
-a word adjoined far below the level asked for is certified by one leaf.
+deeper.  Level lists share certificates, so a tree is a DAG, and each
+computation on one reads each distinct node once (:func:`_fold`):
+certificates re-verify against the stack node by node, independently of the
+search that found them.  Every level of a layer lies in the same level of
+each system stacked on it, so a certificate made in one layer verifies
+unchanged in all of them.  Every level holds e, so an enriched layer's
+closure with x = e nests its levels, U_{i+1} ⊆ U_i below its depth: a leaf
+of level L stands at any shallower level that the stack's highest enriched
+layer builds, and a word adjoined far below the level asked for is certified
+by one leaf.
 
 Verdicts are three-valued.  ``yes`` always carries a re-verifiable
 certificate.  ``no`` is only returned when refutation is exact: the word
@@ -57,6 +58,7 @@ from .words import (
     CyclicParts,
     IdSet,
     Word,
+    WordError,
     conjugate,
     cyclic_exponent,
     cyclic_parts,
@@ -149,42 +151,40 @@ class Conj:
 Rep = "Leaf | Conj"
 
 
-def flatten_factors(rep) -> list[Word]:
-    """The factor sequence a_1..a_m the certificate derives, walked on an
-    explicit stack, so a certificate of any depth flattens."""
-    out, todo = [], [rep]
-    while todo:
+def _fold(rep, leaf, conj):
+    """rep's value, children first on an explicit stack: ``leaf(node)`` once
+    per distinct node that is not a ``Conj``, ``conj(node, left, right)`` of
+    its children's values once per distinct ``Conj``.  Memoized by ``id``,
+    as ``Conj`` equality and hashing recurse."""
+    done, todo = {}, [rep]  # done: id(node) -> value
+    while todo:  # a node is pushed only while its value is missing, and once
         node = todo.pop()
-        if isinstance(node, Conj):
-            out.append(node.x)
-            todo += (node.x.inverse(), node.right, node.left)
-        else:  # a leaf, or the x⁻¹ that closes a conjugation node
-            out.append(node.word if isinstance(node, Leaf) else node)
-    return out
+        if not isinstance(node, Conj):
+            done[id(node)] = leaf(node)
+        elif id(node.left) not in done:
+            todo += (node, node.left)
+        elif id(node.right) not in done:
+            todo += (node, node.right)
+        else:
+            done[id(node)] = conj(node, done[id(node.left)], done[id(node.right)])
+    return done[id(rep)]
 
 
 def rep_word(rep) -> Word:
-    acc = E
-    for f in flatten_factors(rep):
-        acc = multiply(acc, f)
-    return acc
+    """The word rep certifies: x·u·v·x⁻¹ at each conjugation node."""
+    return _fold(
+        rep, lambda leaf: leaf.word, lambda node, u, v: conjugate(node.x, multiply(u, v), node.x.inverse())
+    )
 
 
 def invert_rep(rep):
     """Certificate for the inverse word; valid because levels and base sets
-    are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹.  Built children first on
-    an explicit stack, so a certificate of any depth inverts."""
-    done, todo = [], [(rep, False)]  # done: inverted subtrees, left below right
-    while todo:
-        node, children_done = todo.pop()
-        if isinstance(node, Leaf):
-            done.append(Leaf(node.level, node.word.inverse(), node.origin))
-        elif children_done:
-            right = done.pop()
-            done.append(Conj(node.level, node.x, right, done.pop()))
-        else:
-            todo += ((node, True), (node.right, False), (node.left, False))
-    return done[0]
+    are symmetric.  (x·u·v·x⁻¹)⁻¹ = x·v⁻¹·u⁻¹·x⁻¹."""
+    return _fold(
+        rep,
+        lambda leaf: Leaf(leaf.level, leaf.word.inverse(), leaf.origin),
+        lambda node, u, v: Conj(node.level, node.x, v, u),
+    )
 
 
 @dataclass(frozen=True)
@@ -508,7 +508,7 @@ class Nsys:
         adjoins w at its depth L >= i, read from one dict per run of
         enriched layers (:meth:`_adjoining`); None when no layer adjoins
         w.  The leaf stands at level i as it is, because U_L ⊆ U_i (see
-        :meth:`_verify_structure`).  Building it searches nothing, and
+        :meth:`verify_rep`).  Building it searches nothing, and
         ``verify_rep`` checks it like any certificate."""
         if not 0 <= i <= self.depth:
             raise BadLevel(f"level {i} outside 0..{self.depth}")
@@ -528,55 +528,53 @@ class Nsys:
                 layer = layer.base
 
     def verify_rep(self, i: int, w: Word, rep) -> tuple[bool, str]:
-        """Independent re-check against this stack: structure, leaf claims,
-        and flatten+multiply."""
+        """Independent re-check against this stack.  One read of each distinct
+        node finds the first failure in pre-order: a node's placement by its
+        parent (:meth:`_placed`), its own tests, then its left subtree's, then
+        its right's.  A conjugation node's own test is that its conjugator is
+        e or a letter of the alphabet.  Then rep's word must be w."""
         if not 0 <= i <= self.depth:
             return False, f"level {i} outside 0..{self.depth}"
-        ok, why = self._verify_structure(i, rep)
-        if ok and rep_word(rep) != w:
+        node, why = _fold(rep, self._check_leaf, self._check_conj)
+        why = self._placed(node, i) or why
+        if not why and rep_word(rep) != w:
             return False, "factor product differs from certified word"
-        return ok, why
+        return not why, why
 
-    def _verify_structure(self, i: int, rep) -> tuple[bool, str]:
-        """A leaf of level L holds at position i when a layer at or below this
-        one vouches for it, and L = i or i < ``closed``.  A conjugation node
-        at level i holds when i < ``closed``, its conjugator is e or a letter
-        of the alphabet, and both factors hold at level i + 1.  Below
-        ``closed`` the builder's level i contains x·V_{i+1}·V_{i+1}·x⁻¹, and
-        every level holds e, so x = e gives V_{i+1} ⊆ V_i: a leaf of level
-        L > i, whose word is e or lies no deeper than the builder, holds."""
-        todo = [(i, rep)]
-        while todo:
-            i, node = todo.pop()
-            if isinstance(node, Leaf):
-                if node.level != i and not (i < self.closed and node.level in range(i, self.depth + 1)):
-                    return False, "leaf level mismatch"
-                if not self._vouched(node):
-                    return False, f"no layer holds the {node.origin} leaf {node.word} at level {node.level}"
-            elif isinstance(node, Conj):
-                if node.level != i or i >= self.closed:
-                    return False, "conjugation node at an invalid level"
-                x = node.x
-                if not x.is_identity() and (x.length != 1 or not supported_in(x, self.alphabet)):
-                    return False, "conjugator is not an ambient letter"
-                todo += ((i + 1, node.right), (i + 1, node.left))
-            else:
-                return False, "unknown certificate node"
-        return True, ""
+    def _placed(self, node, i: int) -> str:
+        """Why node cannot stand at position i, or "".  A conjugation node
+        stands at its level i when i < ``closed``.  A leaf of level L stands
+        at L, and at i < ``closed``: there the builder's level i contains
+        x·V_{i+1}·V_{i+1}·x⁻¹, and every level holds e, so x = e gives
+        V_{i+1} ⊆ V_i, and a leaf whose word is e or lies no deeper than the
+        builder holds."""
+        if isinstance(node, Conj):
+            return "" if node.level == i < self.closed else "conjugation node at an invalid level"
+        stands = range(i, self.depth + 1) if i < self.closed else (i,)
+        return "leaf level mismatch" if isinstance(node, Leaf) and node.level not in stands else ""
 
-    def _vouched(self, leaf: Leaf) -> bool:
-        """Does a layer at or below this one hold the leaf at its level?  Pads
-        hold e above the root's depth; the root holds a leaf of its own
-        origin when it answers yes for the leaf's word at the leaf's level,
-        without a search; and each enriched layer as deep as an ``extra``
-        leaf holds its adjoined set, read from one dict per run (``_adjoining``)."""
+    def _check_conj(self, node: Conj, u: tuple, v: tuple) -> tuple:
+        if node.x.length > 1 or not supported_in(node.x, self.alphabet):
+            return node, "conjugator is not an ambient letter"
+        return node, self._placed(u[0], node.level + 1) or u[1] or self._placed(v[0], node.level + 1) or v[1]
+
+    def _check_leaf(self, leaf) -> tuple:
+        """(leaf, "" when a layer at or below this one holds it at its level, else
+        why not).  Pads hold e above the root's depth; the root holds a leaf of
+        its own origin when it answers yes for the leaf's word at the leaf's
+        level, without a search; and each enriched layer as deep as an
+        ``extra`` leaf holds its adjoined set, read from one dict per run."""
+        if not isinstance(leaf, Leaf):
+            return leaf, "unknown certificate node"
         L, root = leaf.level, self.root
         if leaf.origin == "pad":
-            return root.depth < L <= self.depth and leaf.word.is_identity()
-        if leaf.origin != "extra":
-            own = leaf.origin == root.origin and L <= root.depth
-            return own and root._own_answer(L, leaf.word, None).is_yes
-        return L in self._adjoining(L, L, leaf.word)
+            held = root.depth < L <= self.depth and leaf.word.is_identity()
+        elif leaf.origin != "extra":
+            own = leaf.origin == root.origin and 0 <= L <= root.depth
+            held = own and root._own_answer(L, leaf.word, None).is_yes
+        else:
+            held = L in self._adjoining(L, L, leaf.word)
+        return leaf, "" if held else f"no layer holds the {leaf.origin} leaf {leaf.word} at level {L}"
 
     def ancestors(self, stop: "Nsys | None" = None) -> list["Nsys"]:
         """This layer and the layers below it, top first, down to but not
@@ -888,28 +886,13 @@ def identity_extension(U: Nsys, fresh: IdSet) -> EnrichedNsys:
 
 
 def letter_bound_check(rep, base_alphabet_size: int, n: int, i: int) -> bool:
-    """Σ|lett(a_l)| over the flattened factors against |X|·4^(n-i).  The
-    factors run down to the leaves, so a member that the certificate takes
-    from a base layer counts with the factors of its own certificate there.
-    Each distinct node is counted once, on an explicit stack: a leaf's
-    factor is its word, and a conjugation node's are x, x⁻¹ and its
-    children's, so a node shared by many parents costs one count."""
-    counts: dict[int, int] = {}  # id(node) -> Σ|lett| over its factors
-    todo = [rep]
-    while todo:
-        node = todo[-1]
-        if isinstance(node, Leaf):
-            counts[id(node)] = letter_count(node.word)
-        elif (left := counts.get(id(node.left))) is None:
-            todo.append(node.left)
-            continue
-        elif (right := counts.get(id(node.right))) is None:
-            todo.append(node.right)
-            continue
-        else:
-            counts[id(node)] = 2 * letter_count(node.x) + left + right
-        todo.pop()
-    return counts[id(rep)] <= base_alphabet_size * 4 ** (n - i)
+    """Σ|lett(a_l)| over the factors a_1..a_m that rep multiplies, down to
+    its leaves, against |X|·4^(n-i), summed once per distinct node: a leaf's
+    factor is its word, and a conjugation node's are x, x⁻¹ and its children's."""
+    total = _fold(
+        rep, lambda leaf: letter_count(leaf.word), lambda node, u, v: 2 * letter_count(node.x) + u + v
+    )
+    return total <= base_alphabet_size * 4 ** (n - i)
 
 
 # ---------------------------------------------------------------------------
@@ -948,22 +931,24 @@ def system_from_layers(layers: list[dict], root: Optional[Nsys] = None) -> Nsys:
 
 
 def rep_to_obj(rep) -> list:
-    """The certificate as nested lists, built on an explicit stack."""
-    top, todo = [], [(rep, None)]
-    while todo:
-        node, parent = todo.pop()
-        if isinstance(node, Leaf):
-            obj = ["leaf", node.level, str(node.word), node.origin]
-        else:
-            obj = ["conj", node.level, str(node.x)]
-            todo += ((node.right, obj), (node.left, obj))
-        (top if parent is None else parent).append(obj)
-    return top[0]
+    """The certificate as nested lists; a node shared by many parents is one list."""
+    return _fold(
+        rep,
+        lambda leaf: ["leaf", leaf.level, str(leaf.word), leaf.origin],
+        lambda node, u, v: ["conj", node.level, str(node.x), u, v],
+    )
 
 
 def rep_from_obj(obj) -> object:
-    if obj[0] == "leaf" and len(obj) == 4:
-        return Leaf(obj[1], parse_word(obj[2]), obj[3])
-    if obj[0] == "conj" and len(obj) == 5:
-        return Conj(obj[1], parse_word(obj[2]), rep_from_obj(obj[3]), rep_from_obj(obj[4]))
-    raise NbhdError(f"bad certificate node {obj!r}")
+    """The certificate that :func:`rep_to_obj` wrote.  Raises NbhdError on a
+    node of another shape or field type, or a word that does not parse."""
+    kinds = {(str, int, str, str): "leaf", (str, int, str, list, list): "conj"}
+    if type(obj) is not list or not obj or kinds.get(tuple(map(type, obj))) != obj[0]:
+        raise NbhdError(f"bad certificate node {obj!r}")
+    try:
+        word = parse_word(obj[2])
+    except WordError as exc:
+        raise NbhdError(f"bad certificate node {obj!r}: {exc}") from None
+    if obj[0] == "leaf":
+        return Leaf(obj[1], word, obj[3])
+    return Conj(obj[1], word, rep_from_obj(obj[3]), rep_from_obj(obj[4]))

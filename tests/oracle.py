@@ -1,7 +1,8 @@
 """Test oracles: a root system whose finite levels are written out by hand,
 so a test can state a level's members exactly, the extension check that
-scans every level, the walk that tests every layer's adjoined set, and a
-word's support read off its spelled-out letters."""
+scans every level, the walk that tests every layer's adjoined set, a
+word's support read off its spelled-out letters, and a certificate's
+factor sequence read off its expansion as a tree."""
 
 import functools
 import itertools
@@ -11,6 +12,7 @@ from assgp.nbhd import (
     DEFAULT_BUDGET,
     BaseSet,
     Budget,
+    Conj,
     EnrichedNsys,
     Leaf,
     MembershipAnswer,
@@ -38,7 +40,7 @@ class ExplicitNsys(Nsys):
     """Hand-written finite levels; the constructor checks that every level
     holds e and that their words use only the alphabet's letters, as every
     layer's levels do, and none of the other level-system conditions.  Its
-    leaves have the origin "explicit", which ``Nsys._vouched`` accepts as
+    leaves have the origin "explicit", which ``Nsys._check_leaf`` accepts as
     the root's own."""
 
     origin = "explicit"
@@ -131,3 +133,19 @@ def reference_adjoined(system: Nsys, w: Word) -> list[tuple["Leaf | None", bool]
 def reference_letters(w: Word) -> IdSet:
     """The reference for ``letters``: the id of every letter of w, spelled out."""
     return IdSet.from_ids(gen_of(l) for l in flatten_letters(w))
+
+
+def flatten_factors(rep) -> list[Word]:
+    """The reference for the certificate computations: the factor sequence
+    a_1..a_m whose product rep certifies, read off rep expanded as a tree
+    (a node shared by k parents is read k times), on an explicit stack, so
+    a certificate of any depth flattens."""
+    out, todo = [], [rep]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Conj):
+            out.append(node.x)
+            todo += (node.x.inverse(), node.right, node.left)
+        else:  # a leaf, or the x⁻¹ that closes a conjugation node
+            out.append(node.word if isinstance(node, Leaf) else node)
+    return out

@@ -199,6 +199,14 @@ class TestStateCommands:
             lambda o: o["certs"][e_key].update(f="zz"),
             # a leaf holds no inner certificate
             lambda o: o["certs"][e_key]["rep"].append(["leaf", 0, "e", "trivial"]),
+            # a certificate node's level is an int, its word or conjugator a
+            # word's text and a leaf's origin a str
+            lambda o: o["certs"][e_key]["rep"].__setitem__(1, float(o["certs"][e_key]["rep"][1])),
+            lambda o: o["certs"][e_key]["rep"].__setitem__(1, True),
+            lambda o: o["certs"][e_key]["rep"].__setitem__(2, 1),
+            lambda o: o["certs"][e_key]["rep"].__setitem__(2, "zz"),
+            lambda o: o["certs"][e_key]["rep"].__setitem__(3, 1),
+            lambda o: o["certs"][e_key].update(rep=["conj", "1", "e", *[o["certs"][e_key]["rep"]] * 2]),
             lambda o: o["retry_queue"].append(["Q:zz", 1]),
             lambda o: o["certs"][e_key].update(stage=999),
             lambda o: o["certs"][e_key].update(stage="1"),

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, only `words`
 builds a word from raw segments, the package names each of its
-definitions, no verifier searches, and only `nbhd` reads a layer's level
-store."""
+definitions, no verifier searches, only `nbhd` reads a layer's level
+store, and only the one certificate fold reads a node's children."""
 
 import ast
 from collections import Counter
@@ -286,3 +286,48 @@ def test_checker_finds_store_reads():
 )
 def test_only_nbhd_reads_the_level_store(path):
     assert store_reads(path.read_text()) == []
+
+
+# the one walk of a certificate: each distinct node is read once, so every
+# computation on certificates is a pair of combiners passed to it
+FOLD = "_fold"
+CHILDREN = ("left", "right")
+
+
+def child_reads(source: str) -> list[int]:
+    """Lines that read ``.left`` or ``.right`` outside a module-level
+    function named ``_fold``."""
+    tree = ast.parse(source)
+    inside = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == FOLD
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in CHILDREN and id(node) not in inside
+    )
+
+
+def test_checker_finds_child_reads():
+    source = (
+        "def _fold(rep, leaf, conj):\n"
+        "    return conj(rep, rep.left, rep.right)\n"
+        "def walk(node):\n"
+        "    return node.left\n"
+        "class K:\n"
+        "    left: int\n"
+        "    def _fold(self):\n"
+        "        return self.right\n"
+        "x = rep.left.right\n"
+        "y = Conj(0, e, left, right)\n"
+    )
+    assert child_reads(source) == [4, 8, 9, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_fold_reads_a_certificates_children(path):
+    # a walk of its own would expand a shared node once per parent
+    assert child_reads(path.read_text()) == []

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -23,7 +24,7 @@ from assgp.poset import CycCert, verify_cyc_cert
 from assgp.words import E, IdSet, letters, multiply, power, single
 
 from conftest import SHARED_BUDGET, W, rand_word, shared_level_stack
-from oracle import explicit_system
+from oracle import explicit_system, flatten_factors
 
 A = IdSet.of(0)
 AB = IdSet.of(0, 1)
@@ -545,6 +546,11 @@ class TestVerifier:
         T, V, P, Q = self.stack()
         self.refused(Q, 2, a, Leaf(2, a, "extra"), "no layer holds")
         self.refused(Q, 4, y, Leaf(4, y, "extra"), "no layer holds")
+        # with more than one fault, the first in pre-order is named: the left
+        # subtree's before the right's
+        e1 = Leaf(1, E, "trivial")
+        self.refused(V, 0, E, Conj(0, a, Leaf(1, a, "extra"), Conj(0, E, e1, e1)), "no layer holds")
+        self.refused(V, 0, E, Conj(0, a, Conj(0, E, e1, e1), Leaf(1, a, "extra")), "invalid level")
 
     def test_pad_leaf_at_or_below_its_base_depth(self):
         T, V, P, Q = self.stack()
@@ -562,6 +568,8 @@ class TestVerifier:
     def test_leaf_of_a_retired_origin(self):
         T, V, P, Q = self.stack()
         self.refused(V, 0, E, Leaf(0, E, "base"), "no layer holds")
+        # a node of no certificate kind, before a retired leaf to its right
+        self.refused(V, 0, E, Conj(0, E, "leaf", Leaf(1, E, "base")), "unknown certificate node")
 
     def test_leaf_level_must_match_its_position(self):
         # a leaf of level L stands at position i < L when the builder (V for
@@ -574,6 +582,13 @@ class TestVerifier:
         self.refused(P, 3, E, Leaf(4, E, "pad"), "leaf level mismatch")
         self.refused(T, 1, E, Leaf(2, E, "trivial"), "leaf level mismatch")
         self.refused(V, 3, E, Leaf(3, E, "trivial"), "outside 0..2")
+        # a root is asked only about its own levels: a negative leaf stands nowhere
+        self.refused(explicit_system(A, [[E], [E]]), 0, E, Leaf(-3, E, "explicit"), "leaf level mismatch")
+        # a leaf's placement is tested before its layer: a's leaf holds nowhere
+        self.refused(V, 0, E, Conj(0, E, Leaf(0, a, "extra"), Leaf(1, E, "trivial")), "leaf level mismatch")
+        # one leaf object that stands at level 1 but not at level 2
+        e1 = Leaf(1, E, "trivial")
+        self.refused(V, 0, E, Conj(0, E, e1, Conj(1, E, e1, Leaf(2, E, "trivial"))), "leaf level mismatch")
 
     def test_conjugation_at_a_pad_level_or_a_layer_depth(self):
         T, V, P, Q = self.stack()
@@ -591,6 +606,10 @@ class TestVerifier:
         e1 = Leaf(1, E, "trivial")
         self.refused(V, 0, E, Conj(0, z, e1, e1), "not an ambient letter")
         self.refused(V, 0, E, Conj(0, W("a b"), e1, e1), "not an ambient letter")
+        # a node's own test comes before its children's, and its placement
+        # before its own test
+        self.refused(V, 0, E, Conj(0, z, Leaf(0, E, "trivial"), e1), "not an ambient letter")
+        self.refused(V, 0, E, Conj(0, E, Conj(0, z, e1, e1), e1), "invalid level")
         assert Q.verify_rep(0, E, Conj(0, z, e1, e1)) == (True, "")
 
     def test_factor_product_differs_from_the_word(self):
@@ -671,13 +690,29 @@ def _counts_exactly(rep, total):
 
 class TestLetterCountPerNode:
     def test_shared_chain_is_counted_once_per_node(self):
-        # flattening this chain gives 2^60 factors
+        # flattening either chain gives 2^60 factors; each computation reads
+        # each of its 61 distinct nodes once
         rep = Leaf(60, W("a b a"), "trivial")
         for i in reversed(range(60)):
             rep = Conj(i, E, rep, rep)
         t = time.perf_counter()
         assert _counts_exactly(rep, 2 * 2**60)
         assert time.perf_counter() - t < 0.1
+        V = enrich(nbhd.pad_system(trivial_system(AB, 1), 61), nbhd.IDENTITY_BASE, AB)
+        rep = Leaf(60, E, "pad")
+        for i in reversed(range(60)):
+            rep = Conj(i, E, rep, rep)
+        checks = [
+            lambda: V.verify_rep(0, E, rep) == (True, ""),
+            lambda: rep_word(rep) == E,
+            lambda: V.verify_rep(0, E, nbhd.invert_rep(rep)) == (True, ""),
+            lambda: nbhd.rep_to_obj(rep)[:3] == ["conj", 0, "e"],  # not dumped: 2^60 leaves
+            lambda: _counts_exactly(rep, 0),
+        ]
+        for check in checks:
+            t = time.perf_counter()
+            assert check()
+            assert time.perf_counter() - t < 0.1
 
     def test_equals_the_per_factor_sum_on_the_verify_suite(self):
         # the stacks of the verify command's letter-bound suite
@@ -690,8 +725,14 @@ class TestLetterCountPerNode:
                     for i in range(n + 1):
                         for w, rep in V.enumerate(i, budget):
                             checked += 1
-                            total = sum(letters(f).size for f in nbhd.flatten_factors(rep))
+                            factors = flatten_factors(rep)
+                            total = sum(letters(f).size for f in factors)
                             assert _counts_exactly(rep, total), f"|X|={size} n={n} i={i} w={w}"
+                            # the other computations against the same expansion
+                            assert rep_word(rep) == functools.reduce(multiply, factors, E) == w
+                            inverted = [f.inverse() for f in reversed(factors)]
+                            assert flatten_factors(nbhd.invert_rep(rep)) == inverted
+                            assert nbhd.rep_from_obj(nbhd.rep_to_obj(rep)) == rep
         assert checked == cli._suite_letter_bound(1)["trials"]
 
 
@@ -822,9 +863,9 @@ class TestSerialization:
         sys.setrecursionlimit(1000)
         try:
             word = rep_word(rep)
-            factors = nbhd.flatten_factors(rep)
+            factors = flatten_factors(rep)
             inv = nbhd.invert_rep(rep)
-            inv_factors = nbhd.flatten_factors(inv)
+            inv_factors = flatten_factors(inv)
             obj = nbhd.rep_to_obj(rep)
             verdicts = V.verify_rep(0, word, rep), V.verify_rep(0, E, inv)
         finally:
